@@ -1,27 +1,31 @@
-//! Crash-resilient campaign execution: versioned checkpoint/restore with
-//! bit-identical resume, plus a supervision layer that retries, backs
-//! off, and quarantines failing shard workers instead of letting one
-//! panic sink a multi-hour run.
+//! The campaign engine: segmented execution with versioned
+//! checkpoint/restore and bit-identical resume, plus a supervision layer
+//! that retries, backs off, and quarantines failing workers instead of
+//! letting one panic sink a multi-hour run.
 //!
 //! # Execution model
 //!
-//! [`Campaign::run_resumable`] splits the slot window into *segments* of
-//! [`ResumeConfig::checkpoint_every`] slots. Each segment runs the same
-//! three phases as the one-shot engine (prepare → schedule → observe),
-//! but every stateful component is owned by the engine between segments:
+//! [`Campaign::run_resumable`] is the only engine; [`Campaign::run`] and
+//! [`Campaign::run_with_stats`] call it with no checkpoint and no
+//! supervision budget. It splits the slot window into *segments* of
+//! [`ResumeConfig::checkpoint_every`] slots (one segment when that is
+//! `0`) and runs each segment's prepare → schedule → observe phases (see
+//! the [`crate::campaign`] docs) on a propagation cache built for that
+//! segment. Every stateful component is owned by the engine between
+//! segments:
 //!
 //! * per-terminal scheduler state ([`TerminalSchedState`]: RNG stream +
 //!   hysteresis key), kept shard-layout free so a resume may use a
 //!   different shard or thread count and still produce the same bits;
-//! * per-terminal dish state ([`DishState`]) and the previous slot
-//!   capture the XOR differencing baselines against;
+//! * in identified mode, per-terminal dish state ([`DishState`]) and the
+//!   previous slot capture the XOR differencing baselines against;
 //! * the accumulated observation stream and the supervisor's failure
 //!   ledger.
 //!
-//! After each segment the full state is serialized into a checksummed
-//! [`starsense_checkpoint`] snapshot and persisted with
-//! [`write_rotating`] (atomic rename + a rotating last-good backup). A
-//! later call with the same campaign finds the snapshot via
+//! With checkpointing on, the full state is serialized after each segment
+//! into a checksummed [`starsense_checkpoint`] snapshot and persisted
+//! with [`write_rotating`] (atomic rename + a rotating last-good backup).
+//! A later call with the same campaign finds the snapshot via
 //! [`load_latest`], validates a configuration fingerprint, restores, and
 //! continues — the resumed run's observation stream is byte-identical to
 //! an uninterrupted one because segmentation never crosses a slot and
@@ -44,7 +48,8 @@
 //! quarantined for the rest of the campaign and its slots degrade to
 //! [`DegradeReason::WorkerFailed`] — visible in [`DegradationStats`],
 //! never silently dropped. With quarantine disabled (`0`) the engine
-//! fails fast with [`CampaignError::WorkerExhausted`].
+//! fails fast with [`CampaignError::WorkerExhausted`]; that, with no
+//! retries, is the one-shot budget.
 //!
 //! # Wire format
 //!
@@ -58,7 +63,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use crate::campaign::{
-    payload_message, Campaign, CampaignError, SatObs, ShardFailure, SlotObservation,
+    payload_message, Campaign, CampaignError, DishLane, SatObs, ShardFailure, SlotObservation,
 };
 use crate::degrade::{DegradationStats, DegradeReason, SlotOutcome};
 use starsense_astro::time::JulianDate;
@@ -77,7 +82,7 @@ use starsense_scheduler::{Allocation, GlobalScheduler, TerminalSchedState};
 
 /// Campaign-state payload layout version (inside the checkpoint
 /// container, which versions itself separately).
-pub const CAMPAIGN_STATE_VERSION: u32 = 1;
+pub const CAMPAIGN_STATE_VERSION: u32 = 2;
 
 /// Section id: campaign metadata + configuration fingerprint.
 pub const SEC_META: u32 = 1;
@@ -99,7 +104,7 @@ pub struct ResumeConfig {
     pub checkpoint_path: PathBuf,
     /// Slots per segment; a checkpoint is written after every segment.
     /// `0` disables checkpointing: the run executes as one segment and
-    /// writes nothing (useful for A/B-ing the engines).
+    /// neither reads nor writes a snapshot.
     pub checkpoint_every: usize,
     /// Retries per work-unit attempt budget: a unit gets `1 + retries`
     /// attempts per segment before it is charged a unit failure.
@@ -138,6 +143,18 @@ impl ResumeConfig {
         }
     }
 
+    /// The one-shot run behind [`Campaign::run`]: one segment, no
+    /// checkpoint, and a zero supervision budget, so the first failed work
+    /// unit fails the run.
+    pub(crate) fn one_shot() -> ResumeConfig {
+        ResumeConfig {
+            checkpoint_every: 0,
+            worker_retries: 0,
+            worker_quarantine_after: 0,
+            ..ResumeConfig::new(PathBuf::new())
+        }
+    }
+
     /// The deterministic backoff delay before retry `attempt` of `unit`:
     /// exponential in the attempt number, capped, plus a jitter drawn
     /// from a counter-based stream keyed by `(seed, unit, attempt)` —
@@ -154,7 +171,7 @@ impl ResumeConfig {
 }
 
 /// What the resumable engine did, beyond the observations themselves.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResumeReport {
     /// Slot offset a snapshot restored to, or `None` for a fresh start.
     pub resumed_at_slot: Option<usize>,
@@ -185,10 +202,13 @@ pub fn fingerprint_observations(obs: &[SlotObservation]) -> u64 {
 }
 
 /// Engine-owned mutable state: everything that must survive a crash.
+#[derive(Default)]
 struct EngineState {
     sched: Vec<TerminalSchedState>,
-    dish: Vec<DishState>,
-    prev: Vec<Option<SlotCapture>>,
+    /// One lane per terminal in identified mode; empty in oracle mode,
+    /// which never paints a dish (the DISH section then encodes blank
+    /// dishes).
+    dish: Vec<DishLane>,
     obs: Vec<SlotObservation>,
     done: usize,
     /// Worker attempts re-run by the supervisor (first tries excluded).
@@ -210,6 +230,14 @@ struct UnitRun<T> {
     last_failure: Option<ShardFailure>,
 }
 
+impl<T> UnitRun<T> {
+    /// A unit that was not attempted: quarantined, or left with nothing
+    /// to do by a failed schedule shard. It settles as degraded slots.
+    fn skipped() -> UnitRun<T> {
+        UnitRun { value: None, failed_attempts: 0, last_failure: None }
+    }
+}
+
 /// Observation-phase unit ids live in a disjoint range from schedule
 /// shards: terminal `t` supervises as `2^32 + t`.
 fn observe_unit_id(tid: usize) -> u64 {
@@ -221,10 +249,10 @@ impl<'a> Campaign<'a> {
     /// `from`, checkpointing to [`ResumeConfig::checkpoint_path`] every
     /// [`ResumeConfig::checkpoint_every`] slots and resuming from an
     /// existing snapshot when one validates. The returned observation
-    /// stream is byte-identical to [`Campaign::run`] for a fault-free
-    /// supervisor, and byte-identical across any kill/resume schedule
-    /// at checkpoint boundaries — for every thread count, shard count,
-    /// and cohort setting.
+    /// stream is byte-identical to [`Campaign::run`] whenever no work unit
+    /// fails, and byte-identical across any kill/resume schedule at
+    /// checkpoint boundaries — for every thread count, shard count, and
+    /// cohort setting.
     pub fn run_resumable(
         &self,
         from: JulianDate,
@@ -232,15 +260,20 @@ impl<'a> Campaign<'a> {
         opts: &ResumeConfig,
     ) -> Result<(Vec<SlotObservation>, DegradationStats, ResumeReport), CampaignError> {
         let threads = self.worker_threads();
+        // Query each slot at its midpoint: slot boundaries are derived
+        // from the instant, and a midpoint query can never fall on the
+        // wrong side of a boundary through float rounding.
         let first_mid = slot_start(from).plus_seconds(SLOT_PERIOD_SECONDS / 2.0);
         let first_slot = slot_index(first_mid);
         let mids: Vec<JulianDate> =
             (0..slots).map(|k| first_mid.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS)).collect();
         let fingerprint = self.config_fingerprint(first_slot, slots);
 
-        // The fault schedule spans the whole campaign window and the
-        // mask is indexed by campaign-global slot offset, so a segmented
-        // replay consults exactly the bits one uninterrupted pass would.
+        // Injected propagation failures (and their quarantine closure) are
+        // precomputed serially into a bitset spanning the whole campaign
+        // window, indexed by campaign-global slot offset: shard workers
+        // consult it with no ordering dependence, and a segmented replay
+        // reads exactly the bits one uninterrupted pass would.
         let schedule = self.config.faults.enabled().then(|| {
             let mut ids: Vec<u32> = self.constellation.sats().iter().map(|s| s.norad_id).collect();
             ids.sort_unstable();
@@ -254,14 +287,7 @@ impl<'a> Campaign<'a> {
             (schedule, ids)
         });
 
-        let mut report = ResumeReport {
-            resumed_at_slot: None,
-            loaded_from: None,
-            corrupt_discarded: 0,
-            checkpoints_written: 0,
-            segments_run: 0,
-            completed: false,
-        };
+        let mut report = ResumeReport::default();
 
         // Resume if a snapshot validates; otherwise start fresh. A
         // snapshot for a *different* campaign (config, window, or seed)
@@ -283,39 +309,32 @@ impl<'a> Campaign<'a> {
                 let snapshot = self.encode_state(&state, fingerprint, first_mid, slots)?;
                 write_rotating(&opts.checkpoint_path, &snapshot)?;
                 report.checkpoints_written += 1;
-                if let Some(stop) = opts.stop_after_checkpoints {
-                    if report.checkpoints_written >= stop && state.done < slots {
-                        let stats = self.assemble_stats(&state, schedule.as_ref());
-                        return Ok((state.obs, stats, report));
-                    }
+                if opts.stop_after_checkpoints.is_some_and(|n| report.checkpoints_written >= n) {
+                    break;
                 }
             }
         }
 
-        report.completed = true;
+        report.completed = state.done == slots;
         let stats = self.assemble_stats(&state, schedule.as_ref());
         Ok((state.obs, stats, report))
     }
 
-    /// Initial engine state: fresh per-terminal scheduler streams (the
-    /// same `f(seed, terminal id)` initialization every shard scheduler
-    /// derives), blank dishes, no baselines, no ledger.
+    /// Initial engine state: fresh per-terminal scheduler streams (derived
+    /// directly — shard workers build the schedulers themselves), blank
+    /// dishes in identified mode, no baselines, no ledger.
     fn fresh_state(&self) -> EngineState {
         let sched =
-            GlobalScheduler::new(self.config.policy.clone(), self.terminals.clone(), self.seed)
-                .export_states();
-        let dish =
-            self.terminals.iter().map(|t| DishSimulator::new(t.location).export_state()).collect();
-        EngineState {
-            sched,
-            dish,
-            prev: self.terminals.iter().map(|_| None).collect(),
-            obs: Vec::new(),
-            done: 0,
-            retries: 0,
-            failures: BTreeMap::new(),
-            quarantined: BTreeSet::new(),
-        }
+            self.terminals.iter().map(|t| TerminalSchedState::initial(self.seed, t.id)).collect();
+        let dish = if self.config.identified {
+            self.terminals
+                .iter()
+                .map(|t| DishLane { dish: DishSimulator::new(t.location), prev: None })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        EngineState { sched, dish, ..EngineState::default() }
     }
 
     /// Folds the ledger and the fault schedule's quarantine counters
@@ -336,7 +355,7 @@ impl<'a> Campaign<'a> {
     }
 
     /// Executes one segment — prepare, supervised schedule, supervised
-    /// observe — and folds the results into `state`.
+    /// observe, slot-major merge — and folds the results into `state`.
     fn run_segment(
         &self,
         state: &mut EngineState,
@@ -350,9 +369,12 @@ impl<'a> Campaign<'a> {
         let seg_mids = &mids[done..done + seg_len];
         let seg_first_slot = slot_index(seg_mids[0]);
 
-        // Per-segment propagation table. Propagation is a pure function
-        // of (catalog, epoch), so rebuilding per segment reproduces the
-        // uninterrupted run's values bit for bit.
+        // ---- Prepare ------------------------------------------------------
+        // Batch-propagate every full-width epoch the segment touches —
+        // each slot's truth snapshot, and in identified mode each slot's
+        // two published boundary rows — into the cache's immutable table.
+        // Propagation is a pure function of (catalog, epoch), so a
+        // per-segment table reproduces an unsegmented run bit for bit.
         let cache = PropagationCache::new(self.constellation);
         let starts: Vec<JulianDate> = seg_mids.iter().map(|&at| slot_start(at)).collect();
         let boundaries: Vec<JulianDate> = if self.config.identified {
@@ -369,15 +391,16 @@ impl<'a> Campaign<'a> {
         let ranges = crate::campaign::shard_ranges(self.terminals.len(), self.shard_count());
         let sched_states = &state.sched;
         let quarantined = &state.quarantined;
-        let run_shard = |s: usize| -> UnitRun<(Vec<Vec<Allocation>>, Vec<TerminalSchedState>)> {
-            let range = ranges[s].clone();
+        let run_shard = |s: usize,
+                         range: std::ops::Range<usize>|
+         -> UnitRun<(Vec<Vec<Allocation>>, Vec<TerminalSchedState>)> {
             let terminals = &self.terminals[range.clone()];
             let body = || {
                 let mut scheduler =
                     GlobalScheduler::new(self.config.policy.clone(), terminals.to_vec(), self.seed);
-                scheduler
-                    .restore_states(&sched_states[range.clone()])
-                    .map_err(|e| CheckpointError::Malformed { context: restore_context(e) })?;
+                scheduler.restore_states(&sched_states[range.clone()]).map_err(|_| {
+                    CheckpointError::Malformed { context: "scheduler state mismatch" }
+                })?;
                 let columns = self.schedule_slots(
                     &mut scheduler,
                     terminals,
@@ -388,90 +411,70 @@ impl<'a> Campaign<'a> {
                 );
                 Ok::<_, CampaignError>((columns, scheduler.export_states()))
             };
-            self.run_supervised(
-                s as u64,
-                seg_first_slot,
-                quarantined.contains(&(s as u64)),
-                opts,
-                body,
-            )
+            self.run_supervised(s as u64, seg_first_slot, quarantined, opts, body)
         };
-        let shard_runs = parallel_units(ranges.len(), threads, &run_shard)?;
+        let shard_runs = parallel_units(ranges.clone(), threads, &run_shard);
 
         // Sequential, unit-ordered merge: commit successful shards'
-        // scheduler states and allocation columns, charge failures, and
-        // mark failed shards' terminals for synthesized degradation.
+        // scheduler states and allocation columns and charge failures. A
+        // failed shard's terminals keep no allocations and degrade below.
         let mut per_terminal: Vec<Option<Vec<Allocation>>> =
             self.terminals.iter().map(|_| None).collect();
-        let mut schedule_failed: Vec<bool> = self.terminals.iter().map(|_| false).collect();
         for (s, run) in shard_runs.into_iter().enumerate() {
-            let range = ranges[s].clone();
-            match self.settle_unit(state, s as u64, run, opts)? {
-                Some((columns, new_states)) => {
-                    for (offset, (column, st)) in columns.into_iter().zip(new_states).enumerate() {
-                        per_terminal[range.start + offset] = Some(column);
-                        state.sched[range.start + offset] = st;
-                    }
-                }
-                None => {
-                    for t in range {
-                        schedule_failed[t] = true;
-                    }
+            if let Some((columns, new_states)) = self.settle_unit(state, s as u64, run, opts)? {
+                let start = ranges[s].start;
+                for (offset, (column, st)) in columns.into_iter().zip(new_states).enumerate() {
+                    per_terminal[start + offset] = Some(column);
+                    state.sched[start + offset] = st;
                 }
             }
         }
 
         // ---- Supervised observation phase (unit = terminal) -------------
-        let dish_states = &state.dish;
-        let prev_caps = &state.prev;
+        let lanes = &state.dish;
         let quarantined = &state.quarantined;
-        let run_terminal = |tid: usize| -> Option<
-            UnitRun<(Vec<SlotObservation>, DishState, Option<SlotCapture>)>,
-        > {
-            let allocs = per_terminal[tid].as_ref()?;
+        let run_terminal = |tid: usize, allocs: Option<Vec<Allocation>>| {
+            let Some(allocs) = allocs else { return (UnitRun::skipped(), None) };
             let body = || {
-                let mut dish = DishSimulator::new(self.terminals[tid].location);
-                dish.restore_state(dish_states[tid].clone());
-                let mut prev = prev_caps[tid].clone();
-                let obs = self.observe_terminal_segment(&cache, tid, &mut dish, &mut prev, allocs);
-                Ok::<_, CampaignError>((obs, dish.export_state(), prev))
+                // Boxed so the oracle mode's per-terminal results stay
+                // small: a lane holds two inline obstruction maps.
+                let mut lane = lanes.get(tid).cloned().map(Box::new);
+                let obs = self.observe_terminal_segment(&cache, tid, lane.as_deref_mut(), &allocs);
+                Ok::<_, CampaignError>((obs, lane))
             };
-            let unit = observe_unit_id(tid);
-            Some(self.run_supervised(unit, seg_first_slot, quarantined.contains(&unit), opts, body))
+            let run =
+                self.run_supervised(observe_unit_id(tid), seg_first_slot, quarantined, opts, body);
+            // A unit that produced its observations no longer needs its
+            // allocations: drop them here in the worker instead of holding
+            // every terminal's until the merge. A failed unit keeps them
+            // to synthesize its degraded slots.
+            let kept = run.value.is_none().then_some(allocs);
+            (run, kept)
         };
-        let terminal_runs = parallel_units(self.terminals.len(), threads, &run_terminal)?;
+        let terminal_runs = parallel_units(per_terminal, threads, &run_terminal);
 
         let mut columns: Vec<Vec<SlotObservation>> = Vec::with_capacity(self.terminals.len());
-        for (tid, run) in terminal_runs.into_iter().enumerate() {
-            let column = match run {
-                // Schedule shard failed: the terminal has no allocations;
-                // synthesize fully degraded observations straight from the
-                // slot grid. Dish state is not advanced — deterministic,
-                // and honest: no frame was ever painted.
-                None => self.synthesize_scheduleless(tid, seg_mids),
-                Some(run) => {
-                    match self.settle_unit(state, observe_unit_id(tid), run, opts)? {
-                        Some((obs, dish, prev)) => {
-                            state.dish[tid] = dish;
-                            state.prev[tid] = prev;
-                            obs
-                        }
-                        // Observation unit failed: allocations exist, so
-                        // keep the scheduler's truth but degrade the
-                        // identification.
-                        None => match per_terminal[tid].as_ref() {
-                            Some(allocs) => self.synthesize_observeless(tid, allocs),
-                            None => self.synthesize_scheduleless(tid, seg_mids),
-                        },
+        for (tid, (run, kept)) in terminal_runs.into_iter().enumerate() {
+            let column = match self.settle_unit(state, observe_unit_id(tid), run, opts)? {
+                Some((obs, lane)) => {
+                    if let Some(lane) = lane {
+                        state.dish[tid] = *lane;
                     }
+                    obs
                 }
+                // The unit or its schedule shard failed: synthesize
+                // degraded observations, keeping the scheduler's truth
+                // when allocations exist. Dish state is not advanced —
+                // deterministic, and honest: no frame was identified.
+                None => self.synthesize_failed(tid, seg_mids, kept.as_deref()),
             };
             columns.push(column);
         }
 
         // Slot-major, terminal-minor merge, appended to the accumulated
         // stream — segments partition the slot axis, so concatenation
-        // preserves the one-shot engine's global order.
+        // preserves the global order.
+        state.obs.reserve(seg_len * self.terminals.len());
         let mut iters: Vec<std::vec::IntoIter<SlotObservation>> =
             columns.into_iter().map(Vec::into_iter).collect();
         for _ in 0..seg_len {
@@ -488,17 +491,18 @@ impl<'a> Campaign<'a> {
     /// Runs one supervised unit: up to `1 + worker_retries` attempts,
     /// each preceded (after the first) by a deterministic bounded
     /// backoff, with injected faults drawn from the campaign's fault
-    /// plan and real panics caught at the attempt boundary.
+    /// plan and real panics caught at the attempt boundary. A quarantined
+    /// unit is skipped.
     fn run_supervised<T>(
         &self,
         unit: u64,
         seg_first_slot: i64,
-        quarantined: bool,
+        quarantined: &BTreeSet<u64>,
         opts: &ResumeConfig,
         body: impl Fn() -> Result<T, CampaignError>,
     ) -> UnitRun<T> {
-        if quarantined {
-            return UnitRun { value: None, failed_attempts: 0, last_failure: None };
+        if quarantined.contains(&unit) {
+            return UnitRun::skipped();
         }
         let mut last_failure = None;
         let mut failed = 0u32;
@@ -579,45 +583,36 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Fully degraded observations for a terminal whose schedule shard
-    /// failed: no allocation ever existed, so availability and truth are
-    /// honestly empty.
-    fn synthesize_scheduleless(&self, tid: usize, seg_mids: &[JulianDate]) -> Vec<SlotObservation> {
+    /// Degraded observations for a terminal whose work unit failed. Given
+    /// the allocations of a schedule shard that succeeded, the scheduler's
+    /// availability and ground truth are kept and only the identification
+    /// is lost; without them no allocation ever existed, so availability
+    /// and truth are honestly empty.
+    fn synthesize_failed(
+        &self,
+        tid: usize,
+        seg_mids: &[JulianDate],
+        allocs: Option<&[Allocation]>,
+    ) -> Vec<SlotObservation> {
         let lon = self.terminals[tid].location.lon_deg;
+        let mut allocs = allocs.unwrap_or_default().iter();
         seg_mids
             .iter()
             .map(|&at| {
+                let alloc = allocs.next();
                 let start = slot_start(at);
                 SlotObservation {
                     terminal_id: tid,
                     slot: slot_index(at),
                     slot_start: start,
                     local_hour: start.local_solar_hour(lon),
-                    available: Vec::new(),
+                    available: alloc
+                        .map(|a| a.available.iter().map(SatObs::from).collect())
+                        .unwrap_or_default(),
                     chosen: None,
-                    truth_id: None,
+                    truth_id: alloc.and_then(Allocation::chosen_id),
                     outcome: SlotOutcome::NoData(DegradeReason::WorkerFailed),
                 }
-            })
-            .collect()
-    }
-
-    /// Degraded observations for a terminal whose observation unit
-    /// failed after scheduling succeeded: the scheduler's availability
-    /// and ground truth are kept, only the identification is lost.
-    fn synthesize_observeless(&self, tid: usize, allocs: &[Allocation]) -> Vec<SlotObservation> {
-        let lon = self.terminals[tid].location.lon_deg;
-        allocs
-            .iter()
-            .map(|alloc| SlotObservation {
-                terminal_id: tid,
-                slot: alloc.slot,
-                slot_start: alloc.slot_start,
-                local_hour: alloc.slot_start.local_solar_hour(lon),
-                available: alloc.available.iter().map(SatObs::from).collect(),
-                chosen: None,
-                truth_id: alloc.chosen_id(),
-                outcome: SlotOutcome::NoData(DegradeReason::WorkerFailed),
             })
             .collect()
     }
@@ -673,7 +668,12 @@ impl<'a> Campaign<'a> {
             w.put_f64_bits(t.location.lat_deg);
             w.put_f64_bits(t.location.lon_deg);
             w.put_f64_bits(t.location.alt_km);
-            w.put_f64_bits(t.mask.blocked_fraction());
+            w.put_usize(t.mask.sectors().len());
+            for sector in t.mask.sectors() {
+                w.put_f64_bits(sector.az_from_deg);
+                w.put_f64_bits(sector.az_to_deg);
+                w.put_f64_bits(sector.max_blocked_elevation_deg);
+            }
         }
         w.put_i64(first_slot);
         w.put_usize(total_slots);
@@ -713,8 +713,14 @@ impl<'a> Campaign<'a> {
             }
         }
 
-        let mut dish = ByteWriter::with_capacity(state.dish.len() * 1100);
-        for (d, prev) in state.dish.iter().zip(&state.prev) {
+        // Oracle campaigns hold no lanes; their dishes are encoded as the
+        // blank dishes a fresh identified campaign would start from.
+        let mut dish = ByteWriter::with_capacity(self.terminals.len() * 1100);
+        for (tid, t) in self.terminals.iter().enumerate() {
+            let (d, prev) = match state.dish.get(tid) {
+                Some(lane) => (lane.dish.export_state(), lane.prev.as_ref()),
+                None => (DishSimulator::new(t.location).export_state(), None),
+            };
             encode_map(&mut dish, &d.map);
             dish.put_u32(d.slots_since_reset);
             dish.put_bool(d.reset_since_fetch);
@@ -822,14 +828,12 @@ impl<'a> Campaign<'a> {
         r.expect_exhausted("sched section")?;
 
         let mut r = ByteReader::new(snap.require_section(SEC_DISH)?);
-        let mut dish = Vec::with_capacity(n_terminals);
-        let mut prev = Vec::with_capacity(n_terminals);
-        for _ in 0..n_terminals {
+        let mut dish = Vec::new();
+        for t in &self.terminals {
             let map = decode_map(&mut r)?;
             let slots_since_reset = r.get_u32("dish slots since reset")?;
             let reset_since_fetch = r.get_bool("dish reset flag")?;
-            dish.push(DishState { map, slots_since_reset, reset_since_fetch });
-            prev.push(if r.get_bool("baseline flag")? {
+            let prev = if r.get_bool("baseline flag")? {
                 let slot = r.get_i64("baseline slot")?;
                 let slot_start = JulianDate(r.get_f64_bits("baseline slot start")?);
                 let map = decode_map(&mut r)?;
@@ -837,7 +841,13 @@ impl<'a> Campaign<'a> {
                 Some(SlotCapture { slot, slot_start, map, after_reset })
             } else {
                 None
-            });
+            };
+            // Oracle mode keeps no lanes (its encoded dishes are blank).
+            if self.config.identified {
+                let mut sim = DishSimulator::new(t.location);
+                sim.restore_state(DishState { map, slots_since_reset, reset_since_fetch });
+                dish.push(DishLane { dish: sim, prev });
+            }
         }
         r.expect_exhausted("dish section")?;
 
@@ -870,62 +880,42 @@ impl<'a> Campaign<'a> {
 
         report.resumed_at_slot = Some(done);
         report.loaded_from = Some(origin);
-        Ok(Some(EngineState { sched, dish, prev, obs, done, retries, failures, quarantined }))
+        Ok(Some(EngineState { sched, dish, obs, done, retries, failures, quarantined }))
     }
 }
 
-/// Stable text for a scheduler state-restore rejection (the checkpoint
-/// error payload is a `&'static str`).
-fn restore_context(e: starsense_scheduler::StateRestoreError) -> &'static str {
-    match e {
-        starsense_scheduler::StateRestoreError::CountMismatch { .. } => {
-            "scheduler state count mismatch"
-        }
-        starsense_scheduler::StateRestoreError::IdMismatch { .. } => {
-            "scheduler state terminal-id mismatch"
-        }
-    }
-}
-
-/// Fans `run` over `0..count` with the campaign's interleaved-chunk
-/// worker pattern; results are returned in index order. `run` must be a
-/// pure function of its index (all supervision state is settled by the
-/// sequential caller afterwards). Inline when `threads <= 1`.
-fn parallel_units<T: Send>(
-    count: usize,
+/// Fans `run` over `items` with the campaign's interleaved-chunk worker
+/// pattern, handing each call its index and owned item; results are
+/// returned in item order. `run` must be a pure function of its index and
+/// item (all supervision state is settled by the sequential caller
+/// afterwards). Inline when `threads <= 1`.
+fn parallel_units<I: Send, T: Send>(
+    items: Vec<I>,
     threads: usize,
-    run: &(impl Fn(usize) -> T + Sync),
-) -> Result<Vec<T>, CampaignError> {
-    let threads = threads.min(count.max(1));
+    run: &(impl Fn(usize, I) -> T + Sync),
+) -> Vec<T> {
+    let threads = threads.min(items.len().max(1));
     if threads <= 1 {
-        return Ok((0..count).map(run).collect());
+        return items.into_iter().enumerate().map(|(i, item)| run(i, item)).collect();
     }
-    let mut work: Vec<Option<usize>> = (0..count).map(Some).collect();
-    let mut indexed: Vec<(usize, Result<T, CampaignError>)> = Vec::with_capacity(count);
+    let mut work: Vec<Option<I>> = items.into_iter().map(Some).collect();
+    let mut indexed: Vec<(usize, T)> = Vec::with_capacity(work.len());
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for chunk in crate::campaign::chunk_interleaved(&mut work, threads) {
-            let first = chunk.first().map(|(i, _)| *i).unwrap_or(0);
-            handles.push((
-                first,
+        let handles: Vec<_> = crate::campaign::chunk_interleaved(&mut work, threads)
+            .into_iter()
+            .map(|chunk| {
                 scope.spawn(move || {
-                    chunk.into_iter().map(|(i, _)| (i, Ok(run(i)))).collect::<Vec<_>>()
-                }),
-            ));
-        }
-        for (first, handle) in handles {
+                    chunk.into_iter().map(|(i, item)| (i, run(i, item))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for handle in handles {
             match handle.join() {
                 Ok(part) => indexed.extend(part),
-                // Unreachable in practice — every unit body is caught by
-                // the supervisor — but a join failure still degrades into
-                // the typed error rather than a panic.
-                Err(p) => indexed.push((
-                    first,
-                    Err(CampaignError::WorkerPanicked {
-                        shard: first,
-                        payload: payload_message(p.as_ref()),
-                    }),
-                )),
+                // Every unit body runs under the supervisor's
+                // `catch_unwind`, so only a bug in the engine itself can
+                // get here: re-raise it on the caller's thread.
+                Err(p) => std::panic::resume_unwind(p),
             }
         }
     });

@@ -74,6 +74,11 @@ impl SkyMask {
         self.sectors.is_empty()
     }
 
+    /// The blocked sectors, in construction order.
+    pub fn sectors(&self) -> &[MaskSector] {
+        &self.sectors
+    }
+
     /// Fraction of the (elevation ≥ 25°) sky dome that is blocked,
     /// approximated on a 1°×1° grid weighted by solid angle.
     pub fn blocked_fraction(&self) -> f64 {

@@ -265,6 +265,21 @@ pub struct TerminalSchedState {
     pub previous: Option<u32>,
 }
 
+impl TerminalSchedState {
+    /// The state a freshly built [`GlobalScheduler`] with `seed` holds for
+    /// terminal `terminal_id`: the RNG stream at its start and no previous
+    /// assignment. Equal to that scheduler's
+    /// [`GlobalScheduler::export_states`] entry, without paying for its
+    /// per-terminal GSO geometry.
+    pub fn initial(seed: u64, terminal_id: usize) -> TerminalSchedState {
+        TerminalSchedState {
+            terminal_id,
+            rng_state: StdRng::seed_from_u64(stream_seed(seed, terminal_id as u64)).state(),
+            previous: None,
+        }
+    }
+}
+
 /// Why [`GlobalScheduler::restore_states`] rejected a state vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateRestoreError {
@@ -1345,6 +1360,28 @@ mod tests {
         );
         // A failed restore leaves the scheduler usable (state unchanged).
         assert_eq!(g.export_states(), states);
+    }
+
+    #[test]
+    fn initial_state_matches_fresh_scheduler_export() {
+        let terminals = vec![
+            Terminal::new(0, "Iowa", Geodetic::new(41.66, -91.53, 0.2)),
+            Terminal::new(1, "Ithaca", Geodetic::new(42.44, -76.50, 0.3)),
+            Terminal::new(1_000_003, "Austin", Geodetic::new(30.27, -97.74, 0.15)),
+        ];
+        for gso_half_angle_deg in [SchedulerPolicy::default().gso_half_angle_deg, None] {
+            let policy = SchedulerPolicy { gso_half_angle_deg, ..SchedulerPolicy::default() };
+            for seed in [0, 7, u64::MAX] {
+                let fresh = GlobalScheduler::new(policy.clone(), terminals.clone(), seed);
+                let initial: Vec<TerminalSchedState> =
+                    terminals.iter().map(|t| TerminalSchedState::initial(seed, t.id)).collect();
+                assert_eq!(
+                    initial,
+                    fresh.export_states(),
+                    "gso {gso_half_angle_deg:?} seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //! * degradation (no-data slots, probe losses, broken catalog records)
 //!   is monotone in the injected rate.
 //!
-//! A final kill/resume tier replays the mid-rate campaigns through the
-//! resumable engine, crashing (in-process) after every
-//! `STARSENSE_CHAOS_KILL` checkpoints (default 1) and resuming from the
-//! snapshot until done — the surviving stream must be bit-identical to
-//! the one-shot engine's, for every seed.
+//! A final kill/resume tier replays the mid-rate campaigns with
+//! checkpoints, crashing (in-process) after every `STARSENSE_CHAOS_KILL`
+//! checkpoints (default 1) and resuming from the snapshot until done —
+//! the surviving stream must be bit-identical to an uninterrupted
+//! `Campaign::run`, for every seed.
 //!
 //! Env knobs: `STARSENSE_CHAOS_SEEDS` (seed-sweep width, default 8),
 //! `STARSENSE_SLOTS` (slots per campaign, default 40), and

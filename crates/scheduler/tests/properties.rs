@@ -1,11 +1,13 @@
 //! Property-based tests for the scheduler crate.
 
 use proptest::prelude::*;
-use starsense_astro::frames::Geodetic;
+use starsense_astro::frames::{Geodetic, LookAngles};
 use starsense_astro::time::JulianDate;
 use starsense_constellation::{Constellation, ConstellationBuilder, VisibleSat};
 use starsense_scheduler::slots::{next_boundary, slot_index, slot_start, SLOT_PERIOD_SECONDS};
-use starsense_scheduler::{GlobalScheduler, LoadModel, MacScheduler, SchedulerPolicy, Terminal};
+use starsense_scheduler::{
+    GlobalScheduler, GsoExclusion, LoadModel, MacScheduler, SchedulerPolicy, Terminal,
+};
 use std::sync::OnceLock;
 
 /// One shared catalog across cases — the properties quantify over epochs,
@@ -96,6 +98,29 @@ proptest! {
         let a = m.utilization(sat, slot);
         prop_assert_eq!(a, m.utilization(sat, slot));
         prop_assert!((0.0..1.0).contains(&a));
+    }
+
+    #[test]
+    fn fused_gso_query_matches_the_reference_tests(
+        lat in -89.9f64..89.9,
+        lon in -180.0f64..180.0,
+        alt in 0.0f64..4.0,
+        half in 3.0f64..25.0,
+        el in 0.0f64..90.0,
+        az in 0.0f64..360.0,
+    ) {
+        // `separation_if_clear` is `None` exactly when the exhaustive
+        // `excludes` fires, and otherwise the exhaustive `separation_deg`,
+        // bit for bit.
+        let zone = GsoExclusion::for_site(Geodetic::new(lat, lon, alt), half);
+        let look = LookAngles { elevation_deg: el, azimuth_deg: az, range_km: 1000.0 };
+        match zone.separation_if_clear(&look) {
+            None => prop_assert!(zone.excludes(&look)),
+            Some(sep) => {
+                prop_assert!(!zone.excludes(&look));
+                prop_assert_eq!(sep.to_bits(), zone.separation_deg(&look).to_bits());
+            }
+        }
     }
 }
 

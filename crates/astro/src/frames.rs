@@ -149,6 +149,18 @@ impl Topocentric {
             range_km: range,
         }
     }
+
+    /// Sine of the elevation angle to `target_ecef`: the `z / range`
+    /// quotient [`Topocentric::look_angles`] passes to `asin`, evaluated
+    /// with the same arithmetic but without the two inverse-trigonometric
+    /// calls — a cheap horizon test for callers that discard low targets.
+    pub fn sin_elevation(&self, target_ecef: Vec3) -> f64 {
+        let rho = target_ecef - self.ecef;
+        let z = self.cos_lat * self.cos_lon * rho.x
+            + self.cos_lat * self.sin_lon * rho.y
+            + self.sin_lat * rho.z;
+        z / rho.norm()
+    }
 }
 
 /// Computes look angles from an observer to a target, both in ECEF.
@@ -247,6 +259,8 @@ mod tests {
                 assert_eq!(a.elevation_deg.to_bits(), b.elevation_deg.to_bits());
                 assert_eq!(a.azimuth_deg.to_bits(), b.azimuth_deg.to_bits());
                 assert_eq!(a.range_km.to_bits(), b.range_km.to_bits());
+                let el = frame.sin_elevation(target).asin().to_degrees();
+                assert_eq!(el.to_bits(), a.elevation_deg.to_bits());
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Ablation cost benches: the per-slot cost of the hidden global scheduler
 //! under each policy variant DESIGN.md calls out, plus the cost of the GSO
-//! geometry itself.
+//! geometry itself: zone construction, the exhaustive reference folds and
+//! the fused query the scheduler runs.
 //!
 //! (The *effect* of each ablation on the paper's findings is measured by
 //! the `tab_ablation` experiment binary; these benches track what each
@@ -54,6 +55,35 @@ fn bench_gso(c: &mut Criterion) {
     c.bench_function("gso/separation_query", |b| {
         b.iter(|| black_box(zone.separation_deg(black_box(&look))))
     });
+
+    // The fused query the scheduler actually runs, over a sky grid at and
+    // above the default 25° minimum elevation, so each sample mixes
+    // early-exit (excluded) and full-scan (clear) directions.
+    let sky: Vec<LookAngles> = (0..8)
+        .flat_map(|i| {
+            (0..12).map(move |j| LookAngles {
+                elevation_deg: 25.0 + 8.0 * i as f64,
+                azimuth_deg: 30.0 * j as f64 + 7.0,
+                range_km: 900.0,
+            })
+        })
+        .collect();
+    let mut g = c.benchmark_group("gso/fused_query");
+    for (name, site) in [
+        ("north", iowa),
+        ("equator", Geodetic::new(0.0, 17.2, 0.0)),
+        ("south", Geodetic::new(-41.66, 130.0, 0.2)),
+    ] {
+        let zone = GsoExclusion::for_site(site, 12.0);
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                sky.iter()
+                    .map(|l| zone.separation_if_clear(black_box(l)).unwrap_or(-1.0))
+                    .sum::<f64>()
+            })
+        });
+    }
+    g.finish();
 }
 
 criterion_group!(benches, bench_scheduler_variants, bench_gso);

@@ -1212,6 +1212,11 @@ mod tests {
             for (ti, available) in fov.iter().enumerate() {
                 let tid = g.terminals[ti].id;
                 for sat in available {
+                    // The fast path never scores an excluded candidate.
+                    let Some(sep) = g.gso[ti].separation_if_clear(&sat.look) else {
+                        assert!(g.gso[ti].excludes(&sat.look), "sat {}", sat.norad_id);
+                        continue;
+                    };
                     let reference = g.score(tid, slot, sat, &g.gso[ti]);
                     let p = &g.policy;
                     let age_term =
@@ -1222,8 +1227,7 @@ mod tests {
                         .clamp(0.0, 1.0);
                     let dark_penalty =
                         if sat.sunlit { 0.0 } else { p.w_dark_low_elevation * (1.0 - el_norm) };
-                    let gso_margin =
-                        (g.gso[ti].separation_deg_fast(&sat.look) / 90.0).clamp(0.0, 1.0);
+                    let gso_margin = (sep / 90.0).clamp(0.0, 1.0);
                     let hyst = if g.previous.get(&tid) == Some(&sat.norad_id) {
                         p.w_hysteresis
                     } else {

@@ -11,11 +11,40 @@
 //! preference of Figure 5 *emerges* from the geometry rather than being
 //! baked in as a weight.
 
-use starsense_astro::frames::{look_angles, Geodetic, LookAngles};
+use starsense_astro::frames::{Geodetic, LookAngles, Topocentric};
 use starsense_astro::vec3::Vec3;
+use std::sync::OnceLock;
 
 /// Radius of the geostationary belt, km.
 pub const GSO_RADIUS_KM: f64 = 42_164.0;
+
+/// Belt samples per site: one every half degree of longitude.
+const BELT_SAMPLES: usize = 720;
+
+/// Elevation cut, degrees: only belt samples strictly above it enter the
+/// arc. It sits a few degrees below the horizon so a zone whose arc
+/// skims the horizon still excludes the low sky next to it.
+const ELEVATION_CUT_DEG: f64 = -5.0;
+
+/// Slack subtracted from `sin(ELEVATION_CUT_DEG)` in the construction
+/// prefilter (see [`GsoExclusion::for_site`]).
+const PREFILTER_MARGIN: f64 = 1e-9;
+
+/// The 720 belt points in ECEF, km — site-independent, so built once per
+/// process with the historical per-site expression (same bits).
+fn belt() -> &'static [Vec3; BELT_SAMPLES] {
+    static BELT: OnceLock<[Vec3; BELT_SAMPLES]> = OnceLock::new();
+    BELT.get_or_init(|| {
+        std::array::from_fn(|k| {
+            let lon = k as f64 * 0.5;
+            Vec3::new(
+                GSO_RADIUS_KM * lon.to_radians().cos(),
+                GSO_RADIUS_KM * lon.to_radians().sin(),
+                0.0,
+            )
+        })
+    })
+}
 
 /// The exclusion test for one terminal location.
 ///
@@ -24,16 +53,16 @@ pub const GSO_RADIUS_KM: f64 = 42_164.0;
 /// fixed in the terminal's sky — GSO satellites do not move in ECEF.)
 #[derive(Debug, Clone)]
 pub struct GsoExclusion {
-    /// Unit vectors (ENU-style local frame) toward sampled GSO arc points
-    /// that are above the horizon.
+    /// Unit vectors (ENU-style local frame) toward the sampled GSO arc
+    /// points above the −5° elevation cut, in belt-longitude order.
     arc_dirs: Vec<Vec3>,
     /// Bounding caps over consecutive runs of `arc_dirs`, for the
-    /// segment-pruned fast tests ([`GsoExclusion::excludes_fast`],
-    /// [`GsoExclusion::separation_deg_fast`]).
+    /// segment-pruned scan of [`GsoExclusion::separation_if_clear`].
     segments: Vec<ArcSegment>,
     /// Protection half-angle, degrees: a satellite within this angular
-    /// separation of the arc is excluded.
-    pub half_angle_deg: f64,
+    /// separation of the arc is excluded. Private because `cos_half` is
+    /// derived from it at construction.
+    half_angle_deg: f64,
     /// `cos(half_angle)` — the exclusion threshold, hoisted out of the
     /// per-satellite test.
     cos_half: f64,
@@ -42,9 +71,12 @@ pub struct GsoExclusion {
 /// Arc samples per bounding segment: small enough that a segment's cap is
 /// tight (8 samples span ≤ 4° of belt longitude, so the sqrt-free
 /// Lipschitz pre-filter in the scan kills all but the near-arc segments),
-/// large enough that the two-level scan replaces ~480 dot products per
-/// query with ~90 cheap segment bounds plus the few surviving runs.
+/// large enough that the two-level scan replaces ~340 dot products per
+/// query with ~45 cheap segment bounds plus the few surviving runs.
 const SEGMENT_LEN: usize = 8;
+
+/// Upper bound on the segment count: the belt sampling caps it.
+const MAX_SEGMENTS: usize = BELT_SAMPLES.div_ceil(SEGMENT_LEN);
 
 /// Padding (radians) added to a segment's measured angular radius,
 /// dominating the rounding error of `angle_to` so the stored cap provably
@@ -54,8 +86,8 @@ const SEGMENT_RHO_PAD: f64 = 1e-9;
 /// Slack added to the algebraic dot upper bound, dominating the rounding
 /// of its three-term evaluation. Together with [`SEGMENT_RHO_PAD`] it
 /// keeps the bound rigorous: a pruned segment's members can never hold
-/// the true maximum, which is what makes the fast folds bit-identical to
-/// the exhaustive ones.
+/// the true maximum, which is what makes the pruned scan bit-identical to
+/// the exhaustive folds.
 const SEGMENT_UB_GUARD: f64 = 1e-12;
 
 /// A bounding cap over one run of consecutive arc samples: all members lie
@@ -138,21 +170,36 @@ fn look_to_unit(look: &LookAngles) -> Vec3 {
 impl GsoExclusion {
     /// Builds the exclusion tester for a terminal at `site` with a given
     /// protection half-angle (degrees).
+    ///
+    /// Every belt point goes through one cached [`Topocentric`] frame for
+    /// the site — the free `look_angles` is that frame's method, so the
+    /// arc is the same, bit for bit, as 720 `look_angles(site, ..)` calls.
+    /// Points on the far side of the Earth skip the `asin`/`atan2` of
+    /// [`Topocentric::look_angles`]: a point whose elevation sine falls
+    /// below `sin(−5°) − PREFILTER_MARGIN` is provably rejected by the
+    /// exact `elevation_deg > −5` test. `sin_elevation` is the very
+    /// quotient `look_angles` feeds to `asin`, `asin` is increasing with
+    /// slope ≥ 1, so such a point's elevation lies at least 1e-9 rad
+    /// (≈ 6e-8°) below the cut — seven orders of magnitude above the
+    /// few-ulp rounding of `asin`, `to_degrees` and the threshold's own
+    /// `sin`.
     pub fn for_site(site: Geodetic, half_angle_deg: f64) -> GsoExclusion {
-        let mut arc_dirs = Vec::new();
-        // Sample the whole belt; only points above the horizon matter.
-        for k in 0..720 {
-            let lon = k as f64 * 0.5;
-            let gso = Vec3::new(
-                GSO_RADIUS_KM * lon.to_radians().cos(),
-                GSO_RADIUS_KM * lon.to_radians().sin(),
-                0.0,
-            );
-            let look = look_angles(site, gso);
-            if look.elevation_deg > -5.0 {
-                arc_dirs.push(look_to_unit(&look));
+        let frame = Topocentric::new(site);
+        let sin_floor = ELEVATION_CUT_DEG.to_radians().sin() - PREFILTER_MARGIN;
+        // Collect on the stack, then allocate the arc at its exact size.
+        let mut visible = [Vec3::default(); BELT_SAMPLES];
+        let mut n = 0;
+        for &gso in belt() {
+            if frame.sin_elevation(gso) < sin_floor {
+                continue;
+            }
+            let look = frame.look_angles(gso);
+            if look.elevation_deg > ELEVATION_CUT_DEG {
+                visible[n] = look_to_unit(&look);
+                n += 1;
             }
         }
+        let arc_dirs = visible[..n].to_vec();
         let segments = build_segments(&arc_dirs);
         GsoExclusion {
             arc_dirs,
@@ -170,6 +217,11 @@ impl GsoExclusion {
             half_angle_deg: 0.0,
             cos_half: 1.0,
         }
+    }
+
+    /// Protection half-angle, degrees (0 for a disabled zone).
+    pub fn half_angle_deg(&self) -> f64 {
+        self.half_angle_deg
     }
 
     /// True when a satellite seen at `look` falls inside the protected zone.
@@ -208,50 +260,6 @@ impl GsoExclusion {
         min_deg
     }
 
-    /// Segment-pruned variant of [`GsoExclusion::excludes`], bit-identical
-    /// by construction: a segment whose dot upper bound does not clear
-    /// `cos_half` cannot contain an excluding sample, so skipping it
-    /// cannot change the answer. This is the variant the scheduler's fast
-    /// scoring path calls; [`GsoExclusion::excludes`] stays as the frozen
-    /// reference (and the equality is tested below).
-    pub fn excludes_fast(&self, look: &LookAngles) -> bool {
-        if self.arc_dirs.is_empty() {
-            return false;
-        }
-        let dir = look_to_unit(look);
-        for seg in &self.segments {
-            if seg.dot_upper_bound(seg.center.dot(dir)) > self.cos_half
-                && self.arc_dirs[seg.start..seg.end].iter().any(|a| a.dot(dir) > self.cos_half)
-            {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Segment-pruned variant of [`GsoExclusion::separation_deg`],
-    /// bit-identical by construction. Pass 1 folds the exact maximum dot
-    /// product, skipping segments whose upper bound cannot beat the
-    /// running best (`max` over a subset containing the argmax is the
-    /// same value, bit for bit). Pass 2 re-runs the historical tie-guarded
-    /// `min` fold, skipping segments whose bound falls below the tie
-    /// threshold — their members fail the `≥ threshold` test either way.
-    ///
-    /// Pass 1 visits the segment whose *center* is closest to the query
-    /// first: the true argmax sample almost always lives there, so the
-    /// seed is tight and the remaining segments' upper bounds fail on the
-    /// spot. (Visit order only changes *which* segments get scanned
-    /// exactly, never the fold's value — every skipped segment provably
-    /// holds no sample above the running best.)
-    pub fn separation_deg_fast(&self, look: &LookAngles) -> f64 {
-        match self.pruned_scan(look_to_unit(look), 2.0) {
-            Some(deg) => deg,
-            // `best_dot` never exceeds 1 (+ rounding), so a bail threshold
-            // of 2 can never trip.
-            None => unreachable!("bail threshold of 2.0 is above any dot product"),
-        }
-    }
-
     /// Fused exclusion + separation query — the one GSO call the
     /// scheduler's scoring loop makes per candidate. Returns `None` when
     /// `look` falls inside the protected zone (exactly when
@@ -261,33 +269,30 @@ impl GsoExclusion {
     ///
     /// The fusion is exact, not approximate: `excludes` asks whether *any*
     /// arc sample's dot product beats `cos_half`, which is the same
-    /// question as whether the *maximum* dot product does — and pass 1 of
-    /// the pruned scan computes that maximum exactly. One query therefore
-    /// answers both tests with a single direction conversion and segment
-    /// sweep, where separate calls would redo each.
-    pub fn separation_if_clear(&self, look: &LookAngles) -> Option<f64> {
-        self.pruned_scan(look_to_unit(look), self.cos_half)
-    }
-
-    /// Two-pass segment-pruned scan shared by the fast GSO queries.
+    /// question as whether the *maximum* dot product does. The scan below
+    /// folds that maximum over bounding segments of the arc:
     ///
-    /// Pass 1 folds the exact maximum dot product against `dir`, visiting
-    /// the segment whose *center* is closest first: the true argmax sample
-    /// almost always lives there, so the seed is tight and the remaining
-    /// segments' upper bounds fail on the spot. (Visit order only changes
-    /// *which* segments get scanned exactly, never the fold's value —
-    /// every skipped segment provably holds no sample above the running
-    /// best.) If the maximum exceeds `bail_above` the direction is inside
-    /// the exclusion zone and the scan returns `None`. Pass 2 re-runs the
-    /// historical tie-guarded `min` fold over the segments whose bound
-    /// clears the tie threshold — their members fail the `≥ threshold`
-    /// test either way.
-    fn pruned_scan(&self, dir: Vec3, bail_above: f64) -> Option<f64> {
-        // ceil(720 / SEGMENT_LEN) — the belt sampling in `for_site` caps
-        // the segment count, so the per-query scratch lives on the stack.
-        const MAX_SEGMENTS: usize = 720 / SEGMENT_LEN + 1;
+    /// 1. It scans the segment whose *center* is closest to the query
+    ///    first: the argmax sample almost always lives there, so the seed
+    ///    is tight and most other segments' bounds fail on the spot.
+    /// 2. One sweep over the other segments rescans only those whose cap
+    ///    bound beats the running best, and lists those within
+    ///    [`DOT_TIE_GUARD`] of it for the tie fold. A skipped segment
+    ///    provably holds no sample above the running best, so the final
+    ///    best is the exact maximum, bit for bit, whatever the visit
+    ///    order.
+    /// 3. The running best only grows, so the query returns `None` as soon
+    ///    as it clears `cos_half` — after the seed or any rescan — without
+    ///    finishing the sweep.
+    /// 4. The historical tie-guarded `min` fold then runs over the seed
+    ///    and the listed segments. A rescanned segment is listed with its
+    ///    exact maximum, any other with its cap bound; either way a
+    ///    segment below the final threshold holds no sample that passes
+    ///    the fold's `≥ threshold` test, so skipping it leaves the minimum
+    ///    unchanged.
+    pub fn separation_if_clear(&self, look: &LookAngles) -> Option<f64> {
         debug_assert!(self.segments.len() <= MAX_SEGMENTS);
-        let n = self.segments.len();
+        let dir = look_to_unit(look);
 
         // Center dot products, then the argmax — two tight array passes
         // pipeline better than one fused compare-and-branch chain.
@@ -296,7 +301,7 @@ impl GsoExclusion {
             center_d[k] = seg.center.dot(dir);
         }
         let mut seed = 0usize;
-        for k in 1..n {
+        for k in 1..self.segments.len() {
             if center_d[k] > center_d[seed] {
                 seed = k;
             }
@@ -317,19 +322,19 @@ impl GsoExclusion {
                 best_dot = best_dot.max(d);
             }
         }
+        if best_dot > self.cos_half {
+            return None;
+        }
 
         // One sweep decides every other segment's fate for BOTH folds. A
         // segment whose member-dot upper bound sits strictly below
-        // `best_dot − DOT_TIE_GUARD` can neither raise the maximum (pass
-        // 1) nor hold a tie-fold survivor (pass 2: the running best only
-        // grows, so the final threshold is at least this one, and every
-        // member fails the `≥ threshold` sample test). The sqrt-free
-        // over-bound `cosθ + ρ` (cosine is 1-Lipschitz) fails far
-        // segments on one add; only near-arc segments pay the sqrt of
-        // the exact cap bound, and only the handful within the tie guard
-        // land on the survivor list the tie fold revisits.
-        let mut survivors = [(0usize, 0.0f64); MAX_SEGMENTS];
-        let mut n_survivors = 0usize;
+        // `best_dot − DOT_TIE_GUARD` can neither raise the maximum nor
+        // hold a tie-fold survivor (the running best only grows, so the
+        // final threshold is at least this one). The sqrt-free over-bound
+        // `cosθ + ρ` (cosine is 1-Lipschitz) fails far segments on one
+        // add; only near-arc segments pay the sqrt of the exact cap bound.
+        let mut listed = [(0usize, 0.0f64); MAX_SEGMENTS];
+        let mut n_listed = 0usize;
         for (k, seg) in self.segments.iter().enumerate() {
             if k == seed {
                 continue;
@@ -338,25 +343,27 @@ impl GsoExclusion {
             if cheap < best_dot - DOT_TIE_GUARD {
                 continue;
             }
-            let ub = seg.dot_upper_bound(center_d[k]);
-            if ub < best_dot - DOT_TIE_GUARD {
+            let mut bound = seg.dot_upper_bound(center_d[k]);
+            if bound < best_dot - DOT_TIE_GUARD {
                 continue;
             }
-            if ub > best_dot {
-                for a in &self.arc_dirs[seg.start..seg.end] {
-                    best_dot = best_dot.max(a.dot(dir));
+            if bound > best_dot {
+                let seg_max = self.arc_dirs[seg.start..seg.end]
+                    .iter()
+                    .fold(f64::NEG_INFINITY, |m, a| m.max(a.dot(dir)));
+                best_dot = best_dot.max(seg_max);
+                if best_dot > self.cos_half {
+                    return None;
                 }
+                bound = seg_max;
             }
-            survivors[n_survivors] = (k, ub);
-            n_survivors += 1;
-        }
-        if best_dot > bail_above {
-            return None;
+            listed[n_listed] = (k, bound);
+            n_listed += 1;
         }
 
         // The historical tie-guarded min fold, over the seed's stored
-        // dots plus the surviving segments — the same survivor samples
-        // the exhaustive fold admits, so the same minimum, bit for bit.
+        // dots plus the listed segments — the same survivor samples the
+        // exhaustive fold admits, so the same minimum, bit for bit.
         let threshold = best_dot - DOT_TIE_GUARD;
         let mut min_deg = f64::INFINITY;
         for (j, &d) in seed_dots[..seed_len].iter().enumerate() {
@@ -364,8 +371,8 @@ impl GsoExclusion {
                 min_deg = min_deg.min(self.arc_dirs[seed_start + j].angle_to(dir).to_degrees());
             }
         }
-        for &(k, ub) in &survivors[..n_survivors] {
-            if ub < threshold {
+        for &(k, bound) in &listed[..n_listed] {
+            if bound < threshold {
                 continue;
             }
             let seg = &self.segments[k];
@@ -387,6 +394,7 @@ impl GsoExclusion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use starsense_astro::frames::look_angles;
 
     fn iowa() -> Geodetic {
         Geodetic::new(41.66, -91.53, 0.2)
@@ -462,36 +470,24 @@ mod tests {
     }
 
     #[test]
-    fn segment_pruned_fast_paths_match_the_reference_bit_for_bit() {
-        // The fast tests are what the scheduler's hot path calls; they
-        // must agree with the frozen reference on every output bit across
-        // sites on both hemispheres, the equator and near the poles.
+    fn fused_query_matches_the_reference_bit_for_bit() {
+        // The fused query is what the scheduler's hot path calls; it must
+        // agree with the exhaustive reference tests on every output bit
+        // across sites on both hemispheres, the equator and near the poles:
+        // `None` exactly on exclusion, the reference separation bits
+        // otherwise.
         let zones = [
             GsoExclusion::for_site(iowa(), 12.0),
             GsoExclusion::for_site(Geodetic::new(0.0, 17.2, 0.0), 12.0),
             GsoExclusion::for_site(Geodetic::new(-41.66, 130.0, 0.2), 15.0),
             GsoExclusion::for_site(Geodetic::new(67.0, -20.0, 0.1), 12.0),
             GsoExclusion::for_site(Geodetic::new(-88.0, 5.0, 0.0), 12.0),
+            GsoExclusion::for_site(Geodetic::new(80.5, 140.0, 3.5), 12.0),
         ];
         for z in &zones {
-            for el10 in (250..=900).step_by(13) {
+            for el10 in (0..=900).step_by(13) {
                 for az in (0..360).step_by(5) {
                     let l = look(el10 as f64 / 10.0, az as f64);
-                    assert_eq!(
-                        z.separation_deg_fast(&l).to_bits(),
-                        z.separation_deg(&l).to_bits(),
-                        "separation el {} az {az}",
-                        el10 as f64 / 10.0
-                    );
-                    assert_eq!(
-                        z.excludes_fast(&l),
-                        z.excludes(&l),
-                        "excludes el {} az {az}",
-                        el10 as f64 / 10.0
-                    );
-                    // The fused query answers both questions at once:
-                    // `None` exactly on exclusion, the reference
-                    // separation bits otherwise.
                     assert_eq!(
                         z.separation_if_clear(&l).map(f64::to_bits),
                         (!z.excludes(&l)).then(|| z.separation_deg(&l).to_bits()),
@@ -504,11 +500,69 @@ mod tests {
     }
 
     #[test]
-    fn fast_paths_handle_the_disabled_zone() {
-        let z = GsoExclusion::disabled();
-        assert!(!z.excludes_fast(&look(42.0, 180.0)));
-        assert_eq!(z.separation_deg_fast(&look(42.0, 180.0)), f64::INFINITY);
-        assert_eq!(z.separation_if_clear(&look(42.0, 180.0)), Some(f64::INFINITY));
+    fn fused_query_handles_zones_without_an_arc() {
+        let disabled = GsoExclusion::disabled();
+        assert_eq!(disabled.separation_if_clear(&look(42.0, 180.0)), Some(f64::INFINITY));
+        // From 89.9°N the whole belt sits below the −5° cut.
+        let polar = GsoExclusion::for_site(Geodetic::new(89.9, 0.0, 0.0), 12.0);
+        assert!(!polar.arc_visible());
+        assert_eq!(polar.separation_if_clear(&look(10.0, 180.0)), Some(f64::INFINITY));
+    }
+
+    /// The historical construction: one free `look_angles` call (and so
+    /// one observer frame) per belt point, no prefilter, grown by `push`.
+    fn reference_arc(site: Geodetic) -> Vec<Vec3> {
+        let mut arc_dirs = Vec::new();
+        for k in 0..720 {
+            let lon = k as f64 * 0.5;
+            let gso = Vec3::new(
+                GSO_RADIUS_KM * lon.to_radians().cos(),
+                GSO_RADIUS_KM * lon.to_radians().sin(),
+                0.0,
+            );
+            let look = look_angles(site, gso);
+            if look.elevation_deg > -5.0 {
+                arc_dirs.push(look_to_unit(&look));
+            }
+        }
+        arc_dirs
+    }
+
+    #[test]
+    fn cached_frame_construction_matches_the_reference_bit_for_bit() {
+        // Latitudes −89.9…89.9 at three altitudes, with the longitude
+        // swept too: the arc, its length and every component's bits must
+        // match the per-point `look_angles` construction. Near-cut belt
+        // points (within 0.05° of −5°) occur throughout, so the
+        // prefilter's boundary is exercised.
+        let mut near_cut = 0usize;
+        for alt in [0.0, 0.2, 3.5] {
+            for lat10 in (-899..=899).step_by(7) {
+                let lat = lat10 as f64 / 10.0;
+                let lon = (lat10 as f64 * 7.3).rem_euclid(360.0) - 180.0;
+                let site = Geodetic::new(lat, lon, alt);
+                let z = GsoExclusion::for_site(site, 12.0);
+                let reference = reference_arc(site);
+                assert_eq!(z.arc_dirs.len(), reference.len(), "site {site:?}");
+                assert_eq!(z.arc_dirs.capacity(), z.arc_dirs.len(), "site {site:?}");
+                for (a, b) in z.arc_dirs.iter().zip(&reference) {
+                    assert_eq!(a.x.to_bits(), b.x.to_bits(), "site {site:?}");
+                    assert_eq!(a.y.to_bits(), b.y.to_bits(), "site {site:?}");
+                    assert_eq!(a.z.to_bits(), b.z.to_bits(), "site {site:?}");
+                }
+                near_cut += belt()
+                    .iter()
+                    .filter(|&&p| (look_angles(site, p).elevation_deg + 5.0).abs() < 0.05)
+                    .count();
+            }
+        }
+        assert!(near_cut > 100, "only {near_cut} near-cut belt points");
+    }
+
+    #[test]
+    fn half_angle_getter_reports_the_construction_value() {
+        assert_eq!(GsoExclusion::for_site(iowa(), 12.5).half_angle_deg(), 12.5);
+        assert_eq!(GsoExclusion::disabled().half_angle_deg(), 0.0);
     }
 
     #[test]

@@ -1,61 +1,58 @@
-//! Two-tier per-epoch propagation cache.
+//! Per-epoch propagation cache.
 //!
 //! A measurement campaign asks for the same instants over and over: every
 //! terminal's field-of-view query hits the slot's epoch, and every
-//! terminal's candidate generator hits the same 16 sample epochs inside the
-//! slot. [`PropagationCache`] memoizes both the **true** catalog snapshot
+//! terminal's candidate generator hits the same slot boundary epochs.
+//! [`PropagationCache`] holds both the **true** catalog snapshot
 //! (scheduler side) and the **published**-TLE positions (identification
 //! side) per exact epoch, so the constellation is SGP4-propagated once per
 //! instant no matter how many terminals — or worker threads — observe it.
 //!
-//! The cache has two tiers:
+//! The epochs are known before the hot loops start, so the cache is one
+//! immutable, sorted epoch table built by [`PropagationCache::prepare`] (a
+//! single batched, optionally parallel fill through the struct-of-arrays
+//! SGP4 path). Lookups against it are a binary search over a frozen `Vec`
+//! behind a `OnceLock`: **no lock, no write, no contention** on the hot
+//! read path, which is what lets the sharded campaign workers scale with
+//! cores. The campaign engine prepares every slot epoch (and, in
+//! identified mode, every slot boundary epoch) per segment. A lookup of an
+//! epoch nobody prepared is computed on the spot, returned unmemoized and
+//! counted as a miss, so a campaign's [`CacheStats::misses`] reads zero
+//! exactly when every epoch it reads was prepared.
 //!
-//! 1. **Prepared table** — an immutable, sorted epoch table built once by
-//!    [`PropagationCache::prepare`] (a single batched, optionally parallel
-//!    fill through the struct-of-arrays SGP4 path). Lookups against it are
-//!    a binary search over a frozen `Vec` behind a `OnceLock`: **no lock,
-//!    no write, no contention** on the hot read path, which is what lets
-//!    the sharded campaign workers scale with cores. The campaign engine
-//!    prepares every slot epoch (and, in identified mode, every slot
-//!    boundary epoch) up front.
-//! 2. **Fallback maps** — `RwLock<HashMap>` read-through maps for epochs
-//!    nobody prepared (ad-hoc queries, benches, misaligned slots). This is
-//!    the cold path; correctness never depends on reaching it.
-//!
-//! Per-(satellite, epoch) sparse lookups moved out of the shared cache
-//! entirely: [`SparseMemo`] is a plain single-owner memo a caller (one
-//! identification track cache, one shard worker) holds privately, so sparse
-//! traffic never crosses threads and never takes a lock.
+//! Per-(satellite, epoch) sparse lookups do not go through the shared
+//! table: [`SparseMemo`] is a plain single-owner memo a caller (one
+//! identification track cache, one shard worker) holds privately, so
+//! sparse traffic never crosses threads and never takes a lock.
 //!
 //! Determinism: an epoch is keyed by the exact bit pattern of its Julian
-//! date, and the cached value is a pure function of (catalog, epoch), so a
-//! cache hit is bit-identical to recomputation and results cannot depend
-//! on which thread populated an entry first — nor on whether an epoch was
-//! served by the prepared table, a fallback map, or a sparse memo.
+//! date, and every value is a pure function of (catalog, epoch), so a
+//! prepared hit, a sparse-memo hit and a recomputation are bit-identical.
 
 use crate::catalog::{Constellation, Snapshot};
 use starsense_astro::time::JulianDate;
 use starsense_astro::vec3::Vec3;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock};
 
 /// Hit/miss counters, for benches and capacity planning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered from a warm entry (prepared table or fallback map).
+    /// Lookups answered from the prepared table.
     pub hits: usize,
-    /// Lookups that had to propagate (a full catalog row or snapshot).
+    /// Lookups of an unprepared epoch, which propagated a full catalog
+    /// row or snapshot.
     pub misses: usize,
-    /// True-snapshot entries currently cached (prepared + fallback).
+    /// Prepared true-snapshot epochs.
     pub truth_entries: usize,
-    /// Published-position entries currently cached (prepared + fallback).
+    /// Prepared published-position epochs.
     pub published_entries: usize,
 }
 
-/// The immutable tier-1 epoch table: sorted epoch keys with their
-/// propagated rows, built once and never mutated, so readers need no
-/// synchronization beyond the `OnceLock` publication.
+/// The immutable epoch table: sorted epoch keys with their propagated
+/// rows, built once and never mutated, so readers need no synchronization
+/// beyond the `OnceLock` publication.
 #[derive(Debug, Default)]
 struct PreparedEpochs {
     truth_keys: Vec<u64>,
@@ -64,34 +61,14 @@ struct PreparedEpochs {
     published_rows: Vec<Arc<Vec<Option<Vec3>>>>,
 }
 
-/// A thread-safe, read-through memo of per-epoch propagation results for
-/// one [`Constellation`].
+/// A thread-safe table of per-epoch propagation results for one
+/// [`Constellation`] (see the module docs).
 #[derive(Debug)]
 pub struct PropagationCache<'a> {
     constellation: &'a Constellation,
-    /// Tier 1: immutable prepared epoch table (see module docs).
     prepared: OnceLock<PreparedEpochs>,
-    // Tier 2 fallback. Determinism audit: these maps are accessed by key
-    // only — `get`, `entry().or_insert`, `len`, `clear`. Hash order is
-    // never observed, so `HashMap`'s O(1) lookups are safe on the
-    // terminal-scale hot path. Any future iteration over them must switch
-    // to `BTreeMap` or sort the keys first (starlint D201/X103 will flag
-    // it).
-    truth: RwLock<HashMap<u64, Arc<Snapshot>>>,
-    published: RwLock<HashMap<u64, Arc<Vec<Option<Vec3>>>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-}
-
-/// Locks can only be poisoned by a panicking writer; the cached values are
-/// write-once and valid even then, so recover the guard instead of
-/// propagating the poison.
-fn read_unpoisoned<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn write_unpoisoned<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Sorted, deduplicated bit-pattern keys for a list of epochs.
@@ -144,8 +121,6 @@ impl<'a> PropagationCache<'a> {
         PropagationCache {
             constellation,
             prepared: OnceLock::new(),
-            truth: RwLock::new(HashMap::new()),
-            published: RwLock::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
         }
@@ -156,8 +131,8 @@ impl<'a> PropagationCache<'a> {
         self.constellation
     }
 
-    /// Builds the immutable tier-1 epoch table: true snapshots for every
-    /// epoch in `truth_epochs` and published-TLE rows for every epoch in
+    /// Builds the immutable epoch table: true snapshots for every epoch in
+    /// `truth_epochs` and published-TLE rows for every epoch in
     /// `published_epochs`, filled by one batched pass fanned across up to
     /// `threads` scoped workers (≤ 1 fills serially).
     ///
@@ -185,120 +160,81 @@ impl<'a> PropagationCache<'a> {
         self.prepared.set(table).is_ok()
     }
 
-    /// Tier-1 lookup of a prepared true snapshot (no locks).
+    /// Lookup of a prepared true snapshot.
     fn prepared_truth(&self, key: u64) -> Option<&Arc<Snapshot>> {
         let p = self.prepared.get()?;
         let i = p.truth_keys.binary_search(&key).ok()?;
         Some(&p.truth_rows[i])
     }
 
-    /// Tier-1 lookup of a prepared published row (no locks).
+    /// Lookup of a prepared published row.
     fn prepared_published(&self, key: u64) -> Option<&Arc<Vec<Option<Vec3>>>> {
         let p = self.prepared.get()?;
         let i = p.published_keys.binary_search(&key).ok()?;
         Some(&p.published_rows[i])
     }
 
-    /// True-position snapshot at `at`, computed at most once per distinct
-    /// epoch (bit-exact key). Prepared epochs are answered lock-free.
-    pub fn snapshot(&self, at: JulianDate) -> Arc<Snapshot> {
-        let key = at.0.to_bits();
-        if let Some(hit) = self.prepared_truth(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        if let Some(hit) = read_unpoisoned(&self.truth).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        // Propagate outside the lock: epochs are pure functions of the
-        // catalog, so a racing duplicate computation is wasted work at
-        // worst, never a wrong answer.
-        let snap = Arc::new(self.constellation.snapshot(at));
+    /// Counts a lookup answered from the prepared table.
+    fn hit<T>(&self, row: &Arc<T>) -> Arc<T> {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(row)
+    }
+
+    /// Counts a lookup of an unprepared epoch and wraps its fresh value.
+    fn miss<T>(&self, value: T) -> Arc<T> {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = write_unpoisoned(&self.truth);
-        Arc::clone(map.entry(key).or_insert(snap))
+        Arc::new(value)
+    }
+
+    /// True-position snapshot at `at` (bit-exact epoch key). A prepared
+    /// epoch is answered lock-free; any other is propagated on the spot,
+    /// not memoized, and counted as a miss.
+    pub fn snapshot(&self, at: JulianDate) -> Arc<Snapshot> {
+        match self.prepared_truth(at.0.to_bits()) {
+            Some(row) => self.hit(row),
+            None => self.miss(self.constellation.snapshot(at)),
+        }
     }
 
     /// Published-TLE TEME positions of every catalog satellite at `at`
-    /// (`None` where propagation fails), computed at most once per epoch.
-    /// Indexed like [`Constellation::sats`]. Prepared epochs are answered
-    /// lock-free.
+    /// (`None` where propagation fails), indexed like
+    /// [`Constellation::sats`]. A prepared epoch is answered lock-free;
+    /// any other is propagated on the spot, not memoized, and counted as a
+    /// miss.
     pub fn published_positions(&self, at: JulianDate) -> Arc<Vec<Option<Vec3>>> {
-        let key = at.0.to_bits();
-        if let Some(hit) = self.prepared_published(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
+        match self.prepared_published(at.0.to_bits()) {
+            Some(row) => self.hit(row),
+            None => self.miss(self.constellation.published_row(at)),
         }
-        if let Some(hit) = read_unpoisoned(&self.published).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        let positions = self.constellation.published_row(at);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = write_unpoisoned(&self.published);
-        Arc::clone(map.entry(key).or_insert(Arc::new(positions)))
     }
 
-    /// Pre-propagates true snapshots for every epoch in `epochs`, fanning
-    /// the work across up to `threads` scoped workers (values ≤ 1 warm the
-    /// cache serially). Epochs are interleaved across workers so chunks
-    /// cost the same regardless of ordering.
-    ///
-    /// This fills the tier-2 fallback maps; prefer
-    /// [`PropagationCache::prepare`] when the epoch set is known up front,
-    /// which makes later reads lock-free.
-    pub fn prewarm(&self, epochs: &[JulianDate], threads: usize) {
-        let threads = threads.max(1).min(epochs.len().max(1));
-        if threads <= 1 {
-            for &at in epochs {
-                let _ = self.snapshot(at);
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            for worker in 0..threads {
-                scope.spawn(move || {
-                    for &at in epochs.iter().skip(worker).step_by(threads) {
-                        let _ = self.snapshot(at);
-                    }
-                });
-            }
-        });
-    }
-
-    /// Drops every cached fallback entry (counters and the immutable
-    /// prepared table are kept).
-    pub fn clear(&self) {
-        write_unpoisoned(&self.truth).clear();
-        write_unpoisoned(&self.published).clear();
-    }
-
-    /// Current hit/miss/occupancy counters.
+    /// Current hit/miss counters and prepared-table sizes.
     pub fn stats(&self) -> CacheStats {
-        let (prepared_truth, prepared_published) = match self.prepared.get() {
+        let (truth_entries, published_entries) = match self.prepared.get() {
             Some(p) => (p.truth_keys.len(), p.published_keys.len()),
             None => (0, 0),
         };
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            truth_entries: prepared_truth + read_unpoisoned(&self.truth).len(),
-            published_entries: prepared_published + read_unpoisoned(&self.published).len(),
+            truth_entries,
+            published_entries,
         }
     }
 }
 
 /// A single-owner per-(satellite, epoch) published-position memo.
 ///
-/// This is the shard-local tier of the cache design: each consumer that
-/// needs pruned single-satellite lookups — one identification track cache,
-/// inside one campaign shard worker — owns its own `SparseMemo`. The memo
-/// never crosses threads, so lookups take no lock and sparse traffic from
-/// one shard cannot contend with another. Values are bit-identical to
-/// `cache.published_positions(at)[si]` regardless of which tier answers.
+/// Each consumer that needs pruned single-satellite lookups — one
+/// identification track cache, inside one campaign shard worker — owns its
+/// own `SparseMemo`. The memo never crosses threads, so lookups take no
+/// lock and sparse traffic from one shard cannot contend with another.
+/// Values are bit-identical to `cache.published_positions(at)[si]`
+/// whichever way they are answered.
 #[derive(Debug, Default)]
 pub struct SparseMemo {
+    // Determinism audit: accessed by key only (`get`, `entry`, `len`);
+    // hash order is never observed.
     map: HashMap<(u64, u32), Option<Vec3>>,
     hits: usize,
     misses: usize,
@@ -312,8 +248,8 @@ impl SparseMemo {
 
     /// Published-TLE TEME position of the satellite at catalog index `si`
     /// at `at`. A prepared full row answers lock-free; otherwise the local
-    /// memo answers, then the shared fallback row map, and only then is
-    /// one satellite propagated (and memoized locally).
+    /// memo answers, and only then is one satellite propagated (and
+    /// memoized locally).
     pub fn published_position_of(
         &mut self,
         cache: &PropagationCache<'_>,
@@ -330,16 +266,12 @@ impl SparseMemo {
             self.hits += 1;
             return *hit;
         }
-        if let Some(row) = read_unpoisoned(&cache.published).get(&key) {
-            self.hits += 1;
-            return row[si];
-        }
         let pos = cache.constellation().sats()[si].published_position(at);
         self.misses += 1;
         *self.map.entry(sparse_key).or_insert(pos)
     }
 
-    /// Lookups answered without propagating (any tier).
+    /// Lookups answered without propagating (prepared row or local memo).
     pub fn hits(&self) -> usize {
         self.hits
     }
@@ -370,6 +302,39 @@ mod tests {
         ConstellationBuilder::starlink_mini().seed(42).build()
     }
 
+    fn assert_same_position(a: Vec3, b: Vec3) {
+        assert_eq!(a.x.to_bits(), b.x.to_bits());
+        assert_eq!(a.y.to_bits(), b.y.to_bits());
+        assert_eq!(a.z.to_bits(), b.z.to_bits());
+    }
+
+    fn assert_same_snapshot(a: &Snapshot, b: &Snapshot) {
+        assert_eq!(a.at().0.to_bits(), b.at().0.to_bits());
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.entries().iter().zip(b.entries()) {
+            match (x, y) {
+                (None, None) => {}
+                (Some(x), Some(y)) => {
+                    assert_same_position(x.teme, y.teme);
+                    assert_same_position(x.ecef, y.ecef);
+                    assert_eq!(x.sunlit, y.sunlit);
+                }
+                other => panic!("entry mismatch: {other:?}"),
+            }
+        }
+    }
+
+    fn assert_same_row(a: &[Option<Vec3>], b: &[Option<Vec3>]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            match (x, y) {
+                (None, None) => {}
+                (Some(x), Some(y)) => assert_same_position(*x, *y),
+                other => panic!("row mismatch: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn snapshot_through_cache_matches_direct() {
         let c = mini();
@@ -392,11 +357,29 @@ mod tests {
         let c = mini();
         let cache = PropagationCache::new(&c);
         let at = JulianDate::from_ymd_hms(2023, 6, 1, 9, 30, 0.0);
+        assert!(cache.prepare(&[at], &[], 1));
         let first = cache.snapshot(at);
         let second = cache.snapshot(at);
         assert!(Arc::ptr_eq(&first, &second), "same epoch must share one snapshot");
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.truth_entries), (1, 1, 1));
+        assert_eq!((s.hits, s.misses, s.truth_entries), (2, 0, 1));
+    }
+
+    #[test]
+    fn unprepared_lookups_match_direct_propagation_and_count_misses() {
+        let c = mini();
+        let cache = PropagationCache::new(&c);
+        let at = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
+        let prepared_at = at.plus_seconds(15.0);
+        assert!(cache.prepare(&[prepared_at], &[prepared_at], 1));
+        for round in 1..=2 {
+            assert_same_snapshot(&cache.snapshot(at), &c.snapshot(at));
+            assert_same_row(&cache.published_positions(at), &c.published_row(at));
+            // Nothing is memoized: every round propagates both rows again.
+            let s = cache.stats();
+            assert_eq!((s.hits, s.misses), (0, 2 * round));
+            assert_eq!((s.truth_entries, s.published_entries), (1, 1));
+        }
     }
 
     #[test]
@@ -404,12 +387,13 @@ mod tests {
         let c = mini();
         let cache = PropagationCache::new(&c);
         let at = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
+        assert!(cache.prepare(&[], &[at], 1));
         let cached = cache.published_positions(at);
         assert_eq!(cached.len(), c.len());
         for (sat, pos) in c.sats().iter().zip(cached.iter()) {
             assert_eq!(*pos, sat.published_position(at));
         }
-        // Second lookup is a hit.
+        // Second lookup shares the prepared row.
         let again = cache.published_positions(at);
         assert!(Arc::ptr_eq(&cached, &again));
     }
@@ -420,13 +404,13 @@ mod tests {
         let cache = PropagationCache::new(&c);
         let t0 = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
         let t1 = t0.plus_seconds(15.0);
-        let _ = cache.snapshot(t0);
-        let _ = cache.snapshot(t1);
+        assert!(cache.prepare(&[t0, t1], &[], 1));
         assert_eq!(cache.stats().truth_entries, 2);
+        assert!(!Arc::ptr_eq(&cache.snapshot(t0), &cache.snapshot(t1)));
     }
 
     #[test]
-    fn prepared_epochs_answer_without_touching_fallback_maps() {
+    fn prepared_epochs_answer_without_a_miss() {
         let c = mini();
         let cache = PropagationCache::new(&c);
         let t0 = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
@@ -448,11 +432,7 @@ mod tests {
             }
         }
         let s = cache.stats();
-        // Every lookup above was a prepared hit: no misses, and the
-        // fallback maps stayed empty.
-        assert_eq!(s.misses, 0);
-        assert_eq!(read_unpoisoned(&cache.truth).len(), 0);
-        assert_eq!(read_unpoisoned(&cache.published).len(), 0);
+        assert_eq!((s.hits, s.misses), (9, 0));
     }
 
     #[test]
@@ -478,54 +458,10 @@ mod tests {
         assert_eq!((s.truth_entries, s.published_entries), (2, 2));
 
         // Prepared rows are bit-identical to direct propagation.
-        let direct = c.snapshot(t0);
-        let prepared = cache.snapshot(t0);
-        assert_eq!(direct.len(), prepared.len());
-        for (a, b) in direct.entries().iter().zip(prepared.entries()) {
-            match (a, b) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.teme.x.to_bits(), b.teme.x.to_bits());
-                    assert_eq!(a.ecef.y.to_bits(), b.ecef.y.to_bits());
-                    assert_eq!(a.sunlit, b.sunlit);
-                }
-                other => panic!("entry mismatch: {other:?}"),
-            }
+        for at in [t0, t0.plus_seconds(15.0)] {
+            assert_same_snapshot(&cache.snapshot(at), &c.snapshot(at));
+            assert_same_row(&cache.published_positions(at), &c.published_row(at));
         }
-    }
-
-    #[test]
-    fn prewarm_fills_every_epoch_in_parallel() {
-        let c = mini();
-        let cache = PropagationCache::new(&c);
-        let t0 = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
-        let epochs: Vec<JulianDate> = (0..12).map(|k| t0.plus_seconds(15.0 * k as f64)).collect();
-        cache.prewarm(&epochs, 4);
-        assert_eq!(cache.stats().truth_entries, 12);
-        // Everything is now warm: lookups do not miss again.
-        let misses_before = cache.stats().misses;
-        for &at in &epochs {
-            let _ = cache.snapshot(at);
-        }
-        assert_eq!(cache.stats().misses, misses_before);
-    }
-
-    #[test]
-    fn clear_empties_the_fallback_maps_but_keeps_prepared_entries() {
-        let c = mini();
-        let cache = PropagationCache::new(&c);
-        let at = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
-        let prepared_at = at.plus_seconds(30.0);
-        assert!(cache.prepare(&[prepared_at], &[], 1));
-        let _ = cache.snapshot(at);
-        let _ = cache.published_positions(at);
-        cache.clear();
-        let s = cache.stats();
-        assert_eq!((s.truth_entries, s.published_entries), (1, 0));
-        // The prepared epoch still answers without a miss.
-        let misses = cache.stats().misses;
-        let _ = cache.snapshot(prepared_at);
-        assert_eq!(cache.stats().misses, misses);
     }
 
     #[test]
@@ -550,20 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_full_row_answers_sparse_lookups_without_new_entries() {
-        let c = mini();
-        let cache = PropagationCache::new(&c);
-        let mut memo = SparseMemo::new();
-        let at = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
-        let row = cache.published_positions(at);
-        for si in 0..c.len() {
-            assert_eq!(memo.published_position_of(&cache, si, at), row[si]);
-        }
-        assert_eq!((memo.hits(), memo.misses(), memo.len()), (c.len(), 0, 0));
-        assert!(memo.is_empty());
-    }
-
-    #[test]
     fn prepared_row_answers_sparse_lookups_lock_free() {
         let c = mini();
         let cache = PropagationCache::new(&c);
@@ -577,102 +499,22 @@ mod tests {
             );
         }
         assert_eq!((memo.hits(), memo.misses(), memo.len()), (c.len(), 0, 0));
+        assert!(memo.is_empty());
     }
 
     #[test]
-    fn parallel_readers_share_one_propagation_per_epoch() {
+    fn parallel_readers_share_the_prepared_row() {
         let c = mini();
         let cache = PropagationCache::new(&c);
         let at = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
+        assert!(cache.prepare(&[at], &[], 1));
         let warm = cache.snapshot(at);
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                scope.spawn(|| {
-                    let snap = cache.snapshot(at);
-                    assert_eq!(snap.len(), cache.constellation().len());
-                });
+                scope.spawn(|| assert!(Arc::ptr_eq(&warm, &cache.snapshot(at))));
             }
         });
-        assert_eq!(cache.stats().truth_entries, 1);
-        assert!(Arc::ptr_eq(&warm, &cache.snapshot(at)));
-    }
-
-    #[test]
-    fn poisoned_writer_does_not_wedge_readers() {
-        // A panicking thread holding the write lock poisons it; the
-        // `read_unpoisoned`/`write_unpoisoned` helpers must recover, so a
-        // campaign survives a worker panic without deadlocking or
-        // propagating the poison to unrelated readers.
-        let c = mini();
-        let cache = PropagationCache::new(&c);
-        let at = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
-        let _ = cache.snapshot(at);
-
-        let result = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    let _guard = cache.truth.write().expect("first writer sees no poison");
-                    panic!("poison the truth map while holding the write lock");
-                })
-                .join()
-        });
-        assert!(result.is_err(), "the writer thread must have panicked");
-        assert!(cache.truth.is_poisoned(), "the panic must actually poison the lock");
-
-        // Reads (warm and cold) and writes still work.
-        let warm = cache.snapshot(at);
-        assert_eq!(warm.len(), c.len());
-        let cold = cache.snapshot(at.plus_seconds(15.0));
-        assert_eq!(cold.len(), c.len());
-        assert_eq!(cache.stats().truth_entries, 2);
-        cache.clear();
-        assert_eq!(cache.stats().truth_entries, 0);
-    }
-
-    #[test]
-    fn poisoned_published_map_recovers_bit_identically() {
-        // Same recovery contract for the published-TLE fallback map, with
-        // the stronger assertion the resumable engine depends on: values
-        // read through a poisoned lock are bit-identical to a fresh
-        // cache's, because the entries are write-once pure functions of
-        // the catalog.
-        let c = mini();
-        let cache = PropagationCache::new(&c);
-        let at = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
-        let _ = cache.published_positions(at);
-
-        let result = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    let _guard = cache.published.write().expect("first writer sees no poison");
-                    panic!("poison the published map while holding the write lock");
-                })
-                .join()
-        });
-        assert!(result.is_err(), "the writer thread must have panicked");
-        assert!(cache.published.is_poisoned(), "the panic must actually poison the lock");
-
-        let later = at.plus_seconds(15.0);
-        let poisoned_warm = cache.published_positions(at);
-        let poisoned_cold = cache.published_positions(later);
-
-        let fresh = PropagationCache::new(&c);
-        for (a, b) in [
-            (&poisoned_warm, &fresh.published_positions(at)),
-            (&poisoned_cold, &fresh.published_positions(later)),
-        ] {
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                match (x, y) {
-                    (Some(p), Some(q)) => {
-                        assert_eq!(p.x.to_bits(), q.x.to_bits());
-                        assert_eq!(p.y.to_bits(), q.y.to_bits());
-                        assert_eq!(p.z.to_bits(), q.z.to_bits());
-                    }
-                    (None, None) => {}
-                    _ => panic!("propagation success must not depend on lock state"),
-                }
-            }
-        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.truth_entries), (5, 0, 1));
     }
 }

@@ -20,10 +20,10 @@
 //! the "available satellites" set that every analysis in §5 compares
 //! against.
 //!
-//! [`PropagationCache`] memoizes per-epoch propagation (true snapshots and
-//! published-TLE positions) behind a thread-safe read-through interface, so
-//! campaign engines propagate the constellation once per slot regardless of
-//! terminal count or worker-thread count.
+//! [`PropagationCache`] holds per-epoch propagation (true snapshots and
+//! published-TLE positions) in an immutable table prepared up front and
+//! read lock-free, so campaign engines propagate the constellation once per
+//! slot regardless of terminal count or worker-thread count.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

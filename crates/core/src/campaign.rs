@@ -30,12 +30,12 @@
 //! 2. **Schedule** — the terminals are split into contiguous shards (see
 //!    [`CampaignConfig::shards`]) and each worker replays the hidden
 //!    scheduler over just its shard's terminals: fields of view (through
-//!    the terminal-cohort fast path by default — see
-//!    [`CampaignConfig::cohorts`]), the fault mask, then allocation, slot
-//!    by slot. Per-terminal RNG streams and hysteresis keys make a
-//!    terminal's allocation a function of `(seed, terminal id, sky)`
-//!    alone, so the merged shard outputs are bit-identical to one
-//!    monolithic scheduler walking all terminals;
+//!    the terminal-cohort path,
+//!    [`GlobalScheduler::fields_of_view_cohort`]), the fault mask, then
+//!    allocation, slot by slot. Per-terminal RNG streams and hysteresis
+//!    keys make a terminal's allocation a function of
+//!    `(seed, terminal id, sky)` alone, so the merged shard outputs are
+//!    bit-identical to one monolithic scheduler walking all terminals;
 //! 3. **Observe** — each terminal independently replays its allocations:
 //!    dish painting, XOR isolation, and DTW identification, with
 //!    published-TLE propagation read through the prepared table and a
@@ -46,9 +46,9 @@
 //! [`crate::resume`] docs cover segments, checkpoints and supervision.
 //! [`Campaign::run`] is one segment with no checkpoint and no supervision
 //! budget. Observations are byte-identical for any thread count, shard
-//! count, cohort setting and segmentation, and the determinism tests hold
-//! multi-threaded, multi-shard and resumed runs to the single-threaded
-//! stream field by field.
+//! count and segmentation, and the determinism tests hold multi-threaded,
+//! multi-shard and resumed runs to the single-threaded stream field by
+//! field.
 
 use crate::degrade::{DegradationStats, DegradeReason, SlotOutcome};
 use crate::resume::ResumeConfig;
@@ -217,14 +217,6 @@ pub struct CampaignConfig {
     /// merged output bit-identical for every shard count. `0` derives the
     /// shard count from the worker-thread count.
     pub shards: usize,
-    /// Share visibility work across terminals that fall in the same
-    /// visibility-index grid cell (the cohort fast path,
-    /// [`GlobalScheduler::fields_of_view_cohort`]). Candidate sharing is a
-    /// provable superset construction and every terminal still runs the
-    /// exact per-terminal elevation test, so the observation stream is
-    /// byte-identical with the flag on or off — `false` exists for A/B
-    /// measurement and the invariance tests, not for correctness.
-    pub cohorts: bool,
     /// Deterministic fault-injection plan. The default
     /// ([`FaultPlan::none`]) keeps every output bit-identical to a
     /// fault-unaware campaign: fault decisions are counter-based hashes
@@ -250,7 +242,6 @@ impl Default for CampaignConfig {
             identified: false,
             threads: 0,
             shards: 0,
-            cohorts: true,
             faults: FaultPlan::none(),
             min_margin: 0.0,
             frame_retries: 2,
@@ -396,15 +387,11 @@ impl<'a> Campaign<'a> {
             let snapshot = cache.snapshot(slot_start(at));
             // Cohort sharing is per shard: terminals that land in the
             // same grid cell within this shard pool their candidate
-            // fetch. The partition (and the flag itself) only changes
-            // how candidates are gathered, never which satellites pass
-            // the exact elevation test, so both paths and every shard
-            // split produce the same fields of view bit for bit.
-            let mut fov = if self.config.cohorts {
-                scheduler.fields_of_view_cohort(self.constellation, &snapshot)
-            } else {
-                scheduler.fields_of_view(self.constellation, &snapshot)
-            };
+            // fetch. The partition only changes how candidates are
+            // gathered, never which satellites pass the exact elevation
+            // test, so every shard split produces the same fields of view
+            // bit for bit.
+            let mut fov = scheduler.fields_of_view_cohort(self.constellation, &snapshot);
             // A satellite whose propagation failed this slot (or that
             // is quarantined) is invisible to the whole pipeline: the
             // bitset is pure data, so filtering here is invariant to
@@ -444,7 +431,7 @@ impl<'a> Campaign<'a> {
         // The terminal replays its slots in order, which is exactly the
         // access pattern the track cache's boundary reuse and elevation
         // prefilter are built for; its output is bit-identical to the
-        // uncached `identify_slot_through` path.
+        // per-satellite `identify_slot` reference.
         let mut identified = lane.map(|lane| {
             let tracks = TrackCache::new(
                 cache,
@@ -699,15 +686,6 @@ mod tests {
     }
 
     fn threaded_run(identified: bool, threads: usize, shards: usize) -> Vec<SlotObservation> {
-        matrix_run(identified, threads, shards, true)
-    }
-
-    fn matrix_run(
-        identified: bool,
-        threads: usize,
-        shards: usize,
-        cohorts: bool,
-    ) -> Vec<SlotObservation> {
         let c = ConstellationBuilder::starlink_gen1().seed(33).build();
         // Iowa and Cedar Rapids are ~30 km apart and land in the same
         // visibility-index cell, so the cohort path genuinely shares
@@ -718,7 +696,7 @@ mod tests {
             Terminal::new(2, "Austin", Geodetic::new(30.27, -97.74, 0.15)),
             Terminal::new(3, "Cedar Rapids", Geodetic::new(41.98, -91.67, 0.25)),
         ];
-        let config = CampaignConfig { threads, shards, cohorts, ..CampaignConfig::default() };
+        let config = CampaignConfig { threads, shards, ..CampaignConfig::default() };
         let campaign = if identified {
             Campaign::identified(&c, terminals, config, 33)
         } else {
@@ -758,38 +736,8 @@ mod tests {
     #[test]
     fn identified_campaign_is_shard_count_invariant() {
         let serial = threaded_run(true, 1, 1);
-        for (threads, shards) in [(1, 2), (2, 3), (4, 5), (0, 0), (2, 1)] {
+        for (threads, shards) in [(1, 2), (2, 3), (4, 5), (0, 0), (2, 1), (4, 0), (2, 2)] {
             assert_streams_identical(&serial, &threaded_run(true, threads, shards));
-        }
-    }
-
-    #[test]
-    fn oracle_campaign_is_cohort_mode_invariant() {
-        // The full matrix with the cohort axis: every (threads, shards,
-        // cohorts) combination must reproduce the per-terminal
-        // single-thread single-shard stream bit for bit. This is the
-        // strongest statement of the cohort contract — shared candidate
-        // supersets and the per-slot score table change where the numbers
-        // come from, never what they are.
-        let reference = matrix_run(false, 1, 1, false);
-        for threads in [1, 2, 4] {
-            for shards in [1, 3, 0] {
-                for cohorts in [false, true] {
-                    assert_streams_identical(
-                        &reference,
-                        &matrix_run(false, threads, shards, cohorts),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn identified_campaign_is_cohort_mode_invariant() {
-        let reference = matrix_run(true, 1, 1, false);
-        for (threads, shards, cohorts) in [(1, 1, true), (2, 3, true), (4, 0, true), (2, 2, false)]
-        {
-            assert_streams_identical(&reference, &matrix_run(true, threads, shards, cohorts));
         }
     }
 
@@ -797,12 +745,10 @@ mod tests {
     fn faulted_campaign_is_shard_count_invariant() {
         // The fault mask is applied inside each shard worker; the bitset
         // is pure data, so degradation patterns must not move with the
-        // partition either. The cohort axis rides along: the mask is
-        // applied to the finished fields of view, downstream of candidate
-        // gathering, so faulted runs are cohort-mode invariant too.
+        // partition either.
         use starsense_faults::FaultRates;
         let rates = FaultRates { frame_drop: 0.15, propagation_fail: 0.2, ..FaultRates::none() };
-        let run = |threads: usize, shards: usize, cohorts: bool| {
+        let run = |threads: usize, shards: usize| {
             let c = ConstellationBuilder::starlink_mini().seed(33).build();
             let terminals = vec![
                 Terminal::new(0, "Iowa", Geodetic::new(41.66, -91.53, 0.2)),
@@ -811,7 +757,6 @@ mod tests {
             let config = CampaignConfig {
                 threads,
                 shards,
-                cohorts,
                 faults: FaultPlan::new(5, rates),
                 quarantine_after: 2,
                 ..CampaignConfig::default()
@@ -819,11 +764,9 @@ mod tests {
             Campaign::identified(&c, terminals, config, 33)
                 .run(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 0.0), 25)
         };
-        let serial = run(1, 1, true);
-        assert_streams_identical(&serial, &run(2, 2, true));
-        assert_streams_identical(&serial, &run(4, 0, true));
-        assert_streams_identical(&serial, &run(1, 1, false));
-        assert_streams_identical(&serial, &run(2, 2, false));
+        let serial = run(1, 1);
+        assert_streams_identical(&serial, &run(2, 2));
+        assert_streams_identical(&serial, &run(4, 0));
     }
 
     #[test]

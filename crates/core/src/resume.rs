@@ -251,8 +251,7 @@ impl<'a> Campaign<'a> {
     /// existing snapshot when one validates. The returned observation
     /// stream is byte-identical to [`Campaign::run`] whenever no work unit
     /// fails, and byte-identical across any kill/resume schedule at
-    /// checkpoint boundaries — for every thread count, shard count, and
-    /// cohort setting.
+    /// checkpoint boundaries — for every thread count and shard count.
     pub fn run_resumable(
         &self,
         from: JulianDate,
@@ -484,6 +483,14 @@ impl<'a> Campaign<'a> {
                 }
             }
         }
+        // Every full-width read above was meant to hit the prepared table;
+        // a miss means an epoch is missing from the prepare list and each
+        // shard re-propagated the whole catalog for it.
+        debug_assert_eq!(
+            cache.stats().misses,
+            0,
+            "segment read an epoch the prepare phase did not propagate"
+        );
         state.done += seg_len;
         Ok(())
     }
@@ -622,9 +629,9 @@ impl<'a> Campaign<'a> {
     /// FNV fingerprint of everything that determines the campaign's
     /// output bits: policy weights, mode, fault plan, seed, terminals,
     /// and the slot window. Deliberately *excluded*: thread count, shard
-    /// count, cohort flag, and every resume knob — those are execution
-    /// choices the determinism contract ranges over, so a snapshot may
-    /// be resumed under any of them.
+    /// count, and every resume knob — those are execution choices the
+    /// determinism contract ranges over, so a snapshot may be resumed
+    /// under any of them.
     fn config_fingerprint(&self, first_slot: i64, total_slots: usize) -> u64 {
         let mut w = ByteWriter::with_capacity(256);
         w.put_u32(CAMPAIGN_STATE_VERSION);

@@ -2,8 +2,8 @@
 //! worker retry/quarantine, and corruption recovery.
 //!
 //! The central claim under test: killing a campaign at *any* checkpoint
-//! boundary and resuming it — possibly with a different thread count,
-//! shard count, or cohort setting — produces an observation stream
+//! boundary and resuming it — possibly with a different thread count or
+//! shard count — produces an observation stream
 //! byte-for-byte identical to an uninterrupted run, in oracle mode,
 //! identified mode, and under measurement-fault injection.
 

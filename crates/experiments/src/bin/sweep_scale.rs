@@ -6,8 +6,9 @@
 //! measurement isolates the prepare + sharded-schedule + observe phases
 //! from the DTW pipeline) over the ~4k-satellite gen1 catalog and
 //! reports slots/s and slot·terminals/s, then re-runs the largest point
-//! single-threaded/single-sharded to confirm bit-identity of the merged
-//! allocation stream.
+//! single-threaded/single-sharded and requires the two observation streams
+//! to fingerprint equal ([`fingerprint_observations`] covers every field
+//! of every observation bit for bit).
 //!
 //! Env knobs:
 //!
@@ -16,15 +17,11 @@
 //! * `STARSENSE_SLOTS` — slots per campaign (default 4);
 //! * `STARSENSE_THREADS` — worker threads (default 0 = auto-detect);
 //! * `STARSENSE_SHARDS` — terminal shards (default 0 = derive from the
-//!   thread count);
-//! * `STARSENSE_SWEEP_COHORTS` — 1 (default) runs the terminal-cohort
-//!   fast path, 0 the per-terminal reference engine. Either way the
-//!   final cross-check re-runs the largest point serially with cohorts
-//!   *off*, so the sweep's own numbers are always validated against the
-//!   per-terminal engine bit for bit.
+//!   thread count).
 
 use starsense_astro::frames::Geodetic;
 use starsense_core::campaign::{Campaign, CampaignConfig, SlotObservation};
+use starsense_core::fingerprint_observations;
 use starsense_core::report::{csv, text_table};
 use starsense_experiments::{
     campaign_start, slots_from_env, standard_constellation, write_artifact, WORLD_SEED,
@@ -58,10 +55,6 @@ fn terminal_counts() -> Vec<usize> {
     counts
 }
 
-fn config(threads: usize, shards: usize, cohorts: bool) -> CampaignConfig {
-    CampaignConfig { threads, shards, cohorts, ..CampaignConfig::default() }
-}
-
 /// Runs one oracle campaign and returns `(observations, seconds)`.
 fn timed_run(
     constellation: &starsense_constellation::Constellation,
@@ -69,14 +62,9 @@ fn timed_run(
     slots: usize,
     threads: usize,
     shards: usize,
-    cohorts: bool,
 ) -> (Vec<SlotObservation>, f64) {
-    let campaign = Campaign::oracle(
-        constellation,
-        sweep_terminals(n),
-        config(threads, shards, cohorts),
-        WORLD_SEED,
-    );
+    let config = CampaignConfig { threads, shards, ..CampaignConfig::default() };
+    let campaign = Campaign::oracle(constellation, sweep_terminals(n), config, WORLD_SEED);
     let start = Instant::now();
     let obs = campaign.run(campaign_start(), slots);
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
@@ -84,40 +72,24 @@ fn timed_run(
     (obs, elapsed)
 }
 
-/// Bit-level equality of two observation streams (outcomes compared
-/// structurally; the streams come from the same world so any divergence
-/// is a sharding bug, not noise).
-fn identical(a: &[SlotObservation], b: &[SlotObservation]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.slot == y.slot
-                && x.terminal_id == y.terminal_id
-                && x.slot_start.0.to_bits() == y.slot_start.0.to_bits()
-                && x.chosen == y.chosen
-                && x.truth_id == y.truth_id
-                && x.outcome == y.outcome
-        })
-}
-
 fn main() {
     let slots = slots_from_env(4);
     let threads = env_usize("STARSENSE_THREADS", 0);
     let shards = env_usize("STARSENSE_SHARDS", 0);
-    let cohorts = env_usize("STARSENSE_SWEEP_COHORTS", 1) != 0;
     let counts = terminal_counts();
     let constellation = standard_constellation();
 
     // starlint: allow(Q201, reason = "experiment bins report their configuration on stdout by design")
     println!(
         "terminal-scale sweep: {} satellites, {slots} slots, threads={threads}, \
-         shards={shards}, cohorts={cohorts}",
+         shards={shards}",
         constellation.len()
     );
 
     let mut rows = Vec::new();
     let mut largest: Option<(usize, Vec<SlotObservation>)> = None;
     for &n in &counts {
-        let (obs, secs) = timed_run(&constellation, n, slots, threads, shards, cohorts);
+        let (obs, secs) = timed_run(&constellation, n, slots, threads, shards);
         let slots_per_sec = slots as f64 / secs;
         let cells_per_sec = (slots * n) as f64 / secs;
         rows.push(vec![
@@ -135,20 +107,17 @@ fn main() {
     println!("{}", text_table(&header, &rows));
     write_artifact("sweep_scale.csv", &csv(&header, &rows));
 
-    // Cross-check: the largest point re-run serially with the cohort
-    // fast path OFF must merge to the exact same observation stream —
-    // the sharded workers and the cohort/per-terminal engine choice are
-    // implementation details, never semantic ones.
+    // Cross-check: the largest point re-run on one thread and one shard
+    // must merge to the exact same observation stream — the sharded
+    // workers are an implementation detail, never a semantic one.
     // starlint: allow(P102, reason = "the sweep always has at least one point; terminal_counts asserts non-empty")
     let (n, parallel_obs) = largest.expect("at least one sweep point");
-    let (serial_obs, _) = timed_run(&constellation, n, slots, 1, 1, false);
-    assert!(
-        identical(&parallel_obs, &serial_obs),
-        "sharded/cohort run diverged from the serial per-terminal reference at {n} terminals"
+    let (serial_obs, _) = timed_run(&constellation, n, slots, 1, 1);
+    assert_eq!(
+        fingerprint_observations(&parallel_obs),
+        fingerprint_observations(&serial_obs),
+        "sharded run diverged from the serial run at {n} terminals"
     );
     // starlint: allow(Q201, reason = "experiment bins report their verdict on stdout by design")
-    println!(
-        "bit-identity: ok ({n} terminals, threads={threads}/shards={shards}/cohorts={cohorts} \
-         vs 1/1/off)"
-    );
+    println!("bit-identity: ok ({n} terminals, threads={threads}/shards={shards} vs 1/1)");
 }

@@ -30,15 +30,12 @@ pub mod pipeline;
 pub mod track_cache;
 pub mod validate;
 
-pub use candidates::{
-    candidate_tracks, candidate_tracks_through, slot_boundary_epochs, CandidateTrack,
-};
+pub use candidates::{candidate_tracks, slot_boundary_epochs, CandidateTrack};
 pub use dish::{DishSimulator, DishState, FrameFetch, FrameStatus, SlotCapture};
 pub use pipeline::{
     classify_identification, identify_from_trajectory, identify_from_trajectory_counted,
-    identify_slot, identify_slot_through, identify_slot_tracked, verdict_slot_tracked,
-    IdentVerdict, IdentifiedSat, NoDataReason, CANDIDATE_SAMPLES_PER_SLOT, DEFAULT_MIN_MARGIN,
-    MIN_CANDIDATE_ELEVATION_DEG,
+    identify_slot, verdict_slot_tracked, IdentVerdict, IdentifiedSat, NoDataReason,
+    CANDIDATE_SAMPLES_PER_SLOT, DEFAULT_MIN_MARGIN, MIN_CANDIDATE_ELEVATION_DEG,
 };
 pub use track_cache::{prefilter_margin_deg, TrackCache, TrackCacheStats};
 pub use validate::{run_validation, ValidationReport};

@@ -1,9 +1,9 @@
 //! Cross-slot candidate-track generation with an exact elevation prefilter.
 //!
-//! [`crate::candidate_tracks_through`] pays for the whole catalog at every
-//! one of a slot's 16 sample epochs — propagation plus look angles — even
-//! though the overwhelming majority of satellites are below the horizon
-//! the entire slot. [`TrackCache`] removes that waste in two ways, without
+//! [`crate::candidate_tracks`] pays for the whole catalog at every one of
+//! a slot's 16 sample epochs — propagation plus look angles — even though
+//! the overwhelming majority of satellites are below the horizon the
+//! entire slot. [`TrackCache`] removes that waste in two ways, without
 //! changing a single bit of the produced candidate set:
 //!
 //! 1. **Elevation prefilter.** Before any per-epoch work, each satellite's
@@ -14,7 +14,7 @@
 //!    so it would fail [`crate::candidates`]' `any_above` filter anyway and
 //!    can be discarded with zero interior work. Survivors (typically a few
 //!    dozen of hundreds) get their full tracks built exactly as before,
-//!    reading interior positions through the propagation cache's sparse
+//!    reading interior positions through a private sparse
 //!    per-(satellite, epoch) memo instead of full catalog rows.
 //!
 //! 2. **Boundary-row reuse.** Consecutive 15-second slots share a boundary
@@ -88,7 +88,7 @@ pub struct TrackCacheStats {
     /// slot's end boundary (bit-identical epoch).
     pub boundary_rows_reused: usize,
     /// Interior single-satellite lookups answered without propagating
-    /// (prepared row, local memo, or shared fallback row).
+    /// (prepared row or local memo).
     pub interior_hits: usize,
     /// Interior single-satellite lookups that propagated one satellite.
     pub interior_propagations: usize,
@@ -105,8 +105,8 @@ struct BoundaryLook {
 
 /// Per-observer candidate-track generator that reuses boundary work across
 /// consecutive slots and prefilters never-visible satellites. Produces
-/// candidate sets bit-identical to [`crate::candidate_tracks_through`] on
-/// the same [`PropagationCache`] (property-tested in this module).
+/// candidate sets bit-identical to [`crate::candidate_tracks`] on the
+/// [`PropagationCache`]'s catalog (property-tested in this module).
 #[derive(Debug)]
 pub struct TrackCache<'a, 'c> {
     cache: &'c PropagationCache<'a>,
@@ -142,8 +142,8 @@ pub fn prefilter_margin_deg(observer: Geodetic, min_elevation_deg: f64) -> f64 {
 
 impl<'a, 'c> TrackCache<'a, 'c> {
     /// Creates a track cache for one observer over `cache`'s catalog,
-    /// matching [`crate::candidate_tracks_through`]'s `min_elevation_deg`
-    /// and `samples_per_slot` parameters.
+    /// matching [`crate::candidate_tracks`]' `min_elevation_deg` and
+    /// `samples_per_slot` parameters.
     pub fn new(
         cache: &'c PropagationCache<'a>,
         observer: Geodetic,
@@ -177,7 +177,7 @@ impl<'a, 'c> TrackCache<'a, 'c> {
     }
 
     /// Candidate set for the slot starting at `slot_start` — bit-identical
-    /// to `candidate_tracks_through(cache, observer, slot_start, ...)`.
+    /// to `candidate_tracks(cache.constellation(), observer, slot_start, ...)`.
     pub fn candidate_tracks(&mut self, slot_start: JulianDate) -> Vec<CandidateTrack> {
         let n = self.samples_per_slot.max(2) as usize;
         let epochs = sample_epochs(slot_start, n as u32);
@@ -266,7 +266,7 @@ impl<'a, 'c> TrackCache<'a, 'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::candidate_tracks_through;
+    use crate::candidates::candidate_tracks;
     use starsense_constellation::ConstellationBuilder;
     use starsense_scheduler::slots::{slot_start, SLOT_PERIOD_SECONDS};
 
@@ -298,7 +298,7 @@ mod tests {
         let first = slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 13.0));
         for k in 0..8 {
             let start = slot_start(first.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS + 1.0));
-            let direct = candidate_tracks_through(&cache, loc, start, 25.0, 16);
+            let direct = candidate_tracks(&c, loc, start, 25.0, 16);
             let tracked = tracks.candidate_tracks(start);
             assert_same_tracks(&direct, &tracked);
         }
@@ -320,7 +320,7 @@ mod tests {
         let first = JulianDate::from_ymd_hms(2023, 6, 1, 9, 0, 3.7);
         for k in 0..6 {
             let start = first.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS);
-            let direct = candidate_tracks_through(&cache, loc, start, 25.0, 16);
+            let direct = candidate_tracks(&c, loc, start, 25.0, 16);
             let tracked = tracks.candidate_tracks(start);
             assert_same_tracks(&direct, &tracked);
         }
@@ -344,7 +344,7 @@ mod tests {
                 for k in 0..3 {
                     let start =
                         slot_start(first.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS + 1.0));
-                    let direct = candidate_tracks_through(&cache, site, start, cutoff, 16);
+                    let direct = candidate_tracks(&c, site, start, cutoff, 16);
                     let tracked = tracks.candidate_tracks(start);
                     assert_same_tracks(&direct, &tracked);
                 }
@@ -360,9 +360,10 @@ mod tests {
         let mut tracks = TrackCache::new(&cache, loc, 25.0, 16);
         let start = slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 13.0));
         let _ = tracks.candidate_tracks(start);
-        // Only the two boundary epochs took full catalog rows; interior
-        // epochs propagated survivors alone, through the local memo.
-        assert_eq!(cache.stats().published_entries, 2);
+        // Only the two boundary epochs took full catalog rows (each an
+        // unprepared miss); interior epochs propagated survivors alone,
+        // through the local memo.
+        assert_eq!(cache.stats().misses, 2);
         let s = tracks.stats();
         assert!(
             s.interior_propagations < c.len() * 14,

@@ -67,7 +67,7 @@ use rand::{Rng, SeedableRng};
 use starsense_astro::frames::geodetic_to_ecef;
 use starsense_astro::time::JulianDate;
 use starsense_astro::vec3::Vec3;
-use starsense_constellation::{Constellation, PropagationCache, Snapshot, VisibleSat};
+use starsense_constellation::{Constellation, Snapshot, VisibleSat};
 use std::collections::BTreeMap;
 
 /// Pad (degrees) added to a cohort's measured anchor→member widening
@@ -457,20 +457,6 @@ impl GlobalScheduler {
         // One propagation pass per slot, shared by every terminal.
         let snapshot = constellation.snapshot(slot_start(at));
         let available = self.fields_of_view_cohort(constellation, &snapshot);
-        self.allocate_from_available(at, available)
-    }
-
-    /// Like [`GlobalScheduler::allocate`], but reads the slot's snapshot
-    /// through a shared [`PropagationCache`], so several schedulers — or a
-    /// campaign's pre-warming workers — propagate each epoch only once.
-    /// Bit-identical to `allocate` on the same catalog.
-    pub fn allocate_through(
-        &mut self,
-        cache: &PropagationCache<'_>,
-        at: JulianDate,
-    ) -> Vec<Allocation> {
-        let snapshot = cache.snapshot(slot_start(at));
-        let available = self.fields_of_view_cohort(cache.constellation(), &snapshot);
         self.allocate_from_available(at, available)
     }
 
@@ -1039,31 +1025,6 @@ mod tests {
     }
 
     #[test]
-    fn allocate_through_cache_is_bit_identical_to_allocate() {
-        let c = constellation();
-        let cache = PropagationCache::new(&c);
-        let mut direct = GlobalScheduler::new(SchedulerPolicy::default(), terminals(), 3);
-        let mut cached = GlobalScheduler::new(SchedulerPolicy::default(), terminals(), 3);
-        for k in 0..6 {
-            let t = at().plus_seconds(15.0 * k as f64);
-            let a = direct.allocate(&c, t);
-            let b = cached.allocate_through(&cache, t);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.chosen_id(), y.chosen_id());
-                assert_eq!(x.eligible_ids, y.eligible_ids);
-                assert_eq!(x.available.len(), y.available.len());
-                for (va, vb) in x.available.iter().zip(&y.available) {
-                    assert_eq!(va.norad_id, vb.norad_id);
-                    assert_eq!(va.look, vb.look);
-                }
-            }
-        }
-        // Every slot was propagated exactly once despite both schedulers.
-        assert_eq!(cache.stats().truth_entries, 6);
-    }
-
-    #[test]
     fn indexed_availability_is_bit_identical_to_linear() {
         // Two schedulers with the same seed, one fed by the indexed
         // field-of-view path and one by the linear scan, must produce
@@ -1144,26 +1105,44 @@ mod tests {
         assert!(sorted.len() < keys.len(), "no two terminals shared a cell: {keys:?}");
     }
 
+    /// `n` terminals on the golden-ratio lattice over the populated
+    /// latitudes that the `sweep_scale` experiment and the campaign bench
+    /// sweep use.
+    fn lattice_terminals(n: usize) -> Vec<Terminal> {
+        (0..n)
+            .map(|i| {
+                let lat = -55.0 + 110.0 * ((i as f64 * 0.618_033_988_749_895).fract());
+                let lon = -180.0 + 360.0 * ((i as f64 * 0.754_877_666_246_693).fract());
+                Terminal::new(i, format!("sweep{i}"), Geodetic::new(lat, lon, 0.1))
+            })
+            .collect()
+    }
+
     #[test]
     fn cohort_fov_is_bit_identical_to_per_terminal() {
+        // Hand-placed clusters over six slots, then fleet density: 2 000
+        // lattice terminals, where most cohorts have many members, over
+        // two slots.
         let c = constellation();
-        let g = GlobalScheduler::new(SchedulerPolicy::default(), cohort_terminals(), 3);
-        for k in 0..6 {
-            let t = at().plus_seconds(15.0 * k as f64);
-            let snap = c.snapshot(crate::slots::slot_start(t));
-            let cohort = g.fields_of_view_cohort(&c, &snap);
-            let per = g.fields_of_view(&c, &snap);
-            assert_eq!(cohort.len(), per.len());
-            for (ti, (a, b)) in cohort.iter().zip(&per).enumerate() {
-                assert_eq!(a.len(), b.len(), "terminal {ti} slot {k} FOV size");
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.norad_id, y.norad_id);
-                    assert_eq!(x.catalog_index, y.catalog_index);
-                    assert_eq!(x.look.elevation_deg.to_bits(), y.look.elevation_deg.to_bits());
-                    assert_eq!(x.look.azimuth_deg.to_bits(), y.look.azimuth_deg.to_bits());
-                    assert_eq!(x.look.range_km.to_bits(), y.look.range_km.to_bits());
-                    assert_eq!(x.age_days.to_bits(), y.age_days.to_bits());
-                    assert_eq!(x.sunlit, y.sunlit);
+        for (terminals, slots) in [(cohort_terminals(), 6), (lattice_terminals(2_000), 2)] {
+            let g = GlobalScheduler::new(SchedulerPolicy::default(), terminals, 3);
+            for k in 0..slots {
+                let t = at().plus_seconds(15.0 * k as f64);
+                let snap = c.snapshot(crate::slots::slot_start(t));
+                let cohort = g.fields_of_view_cohort(&c, &snap);
+                let per = g.fields_of_view(&c, &snap);
+                assert_eq!(cohort.len(), per.len());
+                for (ti, (a, b)) in cohort.iter().zip(&per).enumerate() {
+                    assert_eq!(a.len(), b.len(), "terminal {ti} slot {k} FOV size");
+                    for (x, y) in a.iter().zip(b) {
+                        assert_eq!(x.norad_id, y.norad_id);
+                        assert_eq!(x.catalog_index, y.catalog_index);
+                        assert_eq!(x.look.elevation_deg.to_bits(), y.look.elevation_deg.to_bits());
+                        assert_eq!(x.look.azimuth_deg.to_bits(), y.look.azimuth_deg.to_bits());
+                        assert_eq!(x.look.range_km.to_bits(), y.look.range_km.to_bits());
+                        assert_eq!(x.age_days.to_bits(), y.age_days.to_bits());
+                        assert_eq!(x.sunlit, y.sunlit);
+                    }
                 }
             }
         }

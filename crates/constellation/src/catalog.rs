@@ -344,7 +344,7 @@ impl Constellation {
     /// Field-of-view query over an explicit candidate list (ascending
     /// catalog indices) — the exact-test half the cohort fast path runs
     /// after its shared superset + prefilter stage. Applies the same
-    /// per-satellite [`Constellation::admit`] test as the linear scan, so
+    /// per-satellite admission test as the linear scan, so
     /// as long as `candidates` is a superset of the satellites above the
     /// cutoff the result is bit-identical to
     /// [`Constellation::field_of_view_from`].

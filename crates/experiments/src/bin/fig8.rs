@@ -1,7 +1,8 @@
 //! Figure 8: top-k accuracy of the random-forest scheduler model against
 //! the most-available-cluster baseline, k = 1…9.
 //!
-//! Paper shape targets: the model beats the baseline at every k, reaching
+//! Paper shape targets: the model beats the baseline at every k (asserted
+//! for every site and every k), reaching
 //! ≈65% at k=5 vs ≈22% for the baseline, and holdout accuracy close to
 //! the cross-validated accuracy (robustness to over-fitting).
 
@@ -50,10 +51,14 @@ fn main() {
             eval.oob_accuracy.map(pct).unwrap_or_else(|| "n/a".into())
         );
 
-        assert!(
-            eval.rf_top_k[4] > eval.baseline_top_k[4],
-            "{name}: model must beat baseline at k=5"
-        );
+        for (i, &k) in eval.k_values.iter().enumerate() {
+            assert!(
+                eval.rf_top_k[i] > eval.baseline_top_k[i],
+                "{name}: model must beat baseline at k={k} ({} vs {})",
+                pct(eval.rf_top_k[i]),
+                pct(eval.baseline_top_k[i])
+            );
+        }
     }
     println!("({slots} slots per location; paper: RF ≈65% vs baseline ≈22% at k=5)");
 

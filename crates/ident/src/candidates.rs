@@ -65,8 +65,8 @@ pub fn candidate_tracks(
 }
 
 /// The two boundary instants of a slot's sample grid — bit-identical to
-/// the first and last entries of [`sample_epochs`], which are the only
-/// epochs [`crate::TrackCache`] reads as full catalog rows. Campaign
+/// the first and last epochs candidate tracks are sampled at, which are
+/// the only epochs [`crate::TrackCache`] reads as full catalog rows. Campaign
 /// engines prepare exactly these into the propagation cache's immutable
 /// epoch table so the observation phase never takes a lock for a boundary
 /// row.

@@ -623,7 +623,7 @@ impl GlobalScheduler {
     /// components are gathered from the slot-stamped term table (filled
     /// lazily by the first terminal scoring each satellite) and the GSO
     /// geometry goes through the segment-pruned tests — every term and its
-    /// summation order matches [`GlobalScheduler::score`] exactly, so the
+    /// summation order matches the private per-candidate scorer exactly, so the
     /// emitted allocations and consumed RNG streams are bit-identical to
     /// [`GlobalScheduler::allocate_from_available_reference`] (tested
     /// below).
@@ -733,7 +733,7 @@ impl GlobalScheduler {
 
     /// The frozen per-terminal reference for
     /// [`GlobalScheduler::allocate_from_available`]: per-candidate
-    /// [`GlobalScheduler::score`] evaluation and the exhaustive-fold GSO
+    /// scoring through the private scorer and the exhaustive-fold GSO
     /// tests, exactly as the pre-cohort engine ran them. Kept (like
     /// [`GlobalScheduler::fields_of_view_linear`]) as the baseline the
     /// fast path is equality-tested and benchmarked against; not used on

@@ -241,7 +241,7 @@ impl GsoExclusion {
     /// The angle is monotone in the dot product, so this version finds the
     /// winning arc point with dot products alone and evaluates the exact
     /// historical formula only for points tied with it (within
-    /// [`DOT_TIE_GUARD`], conservatively). The fold over the survivors
+    /// a small fixed dot-product guard, conservatively). The fold over the survivors
     /// yields the same minimum, bit for bit: every skipped point is
     /// separated by a strictly larger angle, and `min` ignores it either
     /// way.
@@ -277,7 +277,7 @@ impl GsoExclusion {
     ///    is tight and most other segments' bounds fail on the spot.
     /// 2. One sweep over the other segments rescans only those whose cap
     ///    bound beats the running best, and lists those within
-    ///    [`DOT_TIE_GUARD`] of it for the tie fold. A skipped segment
+    ///    the dot-product tie guard of it for the tie fold. A skipped segment
     ///    provably holds no sample above the running best, so the final
     ///    best is the exact maximum, bit for bit, whatever the visit
     ///    order.
